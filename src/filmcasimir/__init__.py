@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .dielectric import (
     DielectricTensor,
     build_tensor,
-    eps_isotropic_bulk,
     eps_xx,
     eps_zz,
 )
@@ -31,7 +30,6 @@ from .lifshitz import (
     q_factors,
     quantized_slab,
     reference_slab,
-    slab_from_tensor,
 )
 from .materials import (
     PRESETS,
@@ -48,8 +46,6 @@ from .qwell import (
     InfiniteWell,
     ParticleInBox,
     WellSpectrum,
-    envelope,
-    momentum_matrix_element,
     solve_spectrum,
     trk_sum,
 )
@@ -60,12 +56,12 @@ __all__ = [
     "BulkReference", "Material", "PRESETS", "derive_bulk", "load_materials",
     "material_table", "well_depth",
     "ConfinementModel", "FiniteWell", "InfiniteWell", "ParticleInBox",
-    "WellSpectrum", "envelope", "momentum_matrix_element", "solve_spectrum", "trk_sum",
+    "WellSpectrum", "solve_spectrum", "trk_sum",
     "CapacityError", "FilmElectronicState", "electron_density", "fermi_level",
     "film_state", "pbm_box_width",
-    "DielectricTensor", "build_tensor", "eps_isotropic_bulk", "eps_xx", "eps_zz",
+    "DielectricTensor", "build_tensor", "eps_xx", "eps_zz",
     "ForceConvergenceError", "ForceResult", "SlabOptics", "delta_D", "delta_P",
     "force", "force_pair", "ideal_mirror_pressure", "isotropic_slab", "q_factors",
-    "quantized_slab", "reference_slab", "slab_from_tensor",
+    "quantized_slab", "reference_slab",
     "FIGURES", "RunReport", "SweepPlan", "figure_plan", "run",
 ]

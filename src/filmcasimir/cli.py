@@ -36,8 +36,6 @@ def _build_parser() -> argparse.ArgumentParser:
     fig.add_argument("--points", type=int, default=None, help="override the grid size")
     fig.add_argument("--tol", type=float, default=1e-7, help="relative force tolerance")
     fig.add_argument("--workers", type=int, default=1, help="parallel worker processes")
-    fig.add_argument("--omega-p-scaling", choices=("sqrt", "linear"), default="sqrt",
-                     help="plasma frequency scaling with the mean density")
     fig.add_argument("--materials-config", default=None,
                      help="JSON file with extra material definitions")
 
@@ -49,7 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--gamma", type=float, default=0.0, help="relaxation frequency, rad/s")
     pt.add_argument("--tol", type=float, default=1e-7)
     pt.add_argument("--engine", choices=("legendre", "quadpack"), default="legendre")
-    pt.add_argument("--omega-p-scaling", choices=("sqrt", "linear"), default="sqrt")
     pt.add_argument("--materials-config", default=None)
 
     mat = sub.add_parser("materials", help="list the known materials and derived bulk data")
@@ -91,8 +88,7 @@ def _cmd_point(args) -> int:
     material = table[args.material]
     try:
         f_q, f_ref = force_pair(material, args.model.upper(), args.D, args.ell,
-                                gamma=args.gamma, tol=args.tol, engine=args.engine,
-                                omega_P_mode=args.omega_p_scaling)
+                                gamma=args.gamma, tol=args.tol, engine=args.engine)
     except (ForceConvergenceError, CapacityError, TensorBuildError, ValueError) as exc:
         print(f"error: point failed for material={args.material} model={args.model} "
               f"D={args.D} ell={args.ell} gamma={args.gamma}: {exc}", file=sys.stderr)
@@ -119,9 +115,12 @@ def _cmd_figure(args) -> int:
               f"{', '.join(sorted(table))}", file=sys.stderr)
         return 2
     outdir = args.outdir or os.environ.get(_OUTDIR_ENV, ".")
-    plan = figure_plan(args.figure, tuple(table[n] for n in names), output_dir=outdir,
-                       n_points=args.points, force_tol=args.tol, workers=args.workers,
-                       omega_P_mode=args.omega_p_scaling)
+    try:
+        plan = figure_plan(args.figure, tuple(table[n] for n in names), output_dir=outdir,
+                           n_points=args.points, force_tol=args.tol, workers=args.workers)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     report = run(plan)
     for path in report.files:
         print(path)

@@ -6,17 +6,22 @@ a sum over intersubband transitions.  Combining each transition's partial
 fractions with the plasma term cancels the 1/xi^2 pieces exactly (the
 oscillator-strength sum rule within the retained spectrum), leaving
 
-    eps_zz(i xi) = 1 + sum_pairs  s_p / (dE_p^2 + hbar^2 xi (xi + gamma))
+    eps_zz(i xi) = 1 + sum_pairs  c_p / (dE_p^2 + hbar^2 xi (xi + gamma))
 
-with strictly positive coefficients s_p, so eps_zz is finite at xi = 0 and
+with strictly positive coefficients c_p, so eps_zz is finite at xi = 0 and
 monotone decreasing.  Relaxation enters through the number-conserving
 substitution omega^2 -> omega(omega + i gamma), i.e. xi^2 -> xi(xi+gamma).
+
+The bulk plasma/Drude reference 1 + Omega_P^2/(xi(xi+gamma)) is the same
+pole sum with a single pole at dE = 0 and weight (hbar Omega_P)^2
+(``drude_tensor``), so one DielectricTensor record and one pair of
+functions, eps_xx and eps_zz, serve both the quantized film and its
+continuum reference.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import TextIO
 
 import numpy as np
 
@@ -38,15 +43,22 @@ class TensorBuildError(RuntimeError):
 
 @dataclass(frozen=True)
 class DielectricTensor:
-    """Pair table and plasma weight for one film state at one relaxation rate."""
+    """Pole table and plasma weight of one film at one relaxation rate.
 
-    state: FilmElectronicState
+    Plain data: it pickles, and ``eps_xx``/``eps_zz`` evaluate it.
+    """
+
     gamma: float              # rad/s
     hw_p2: float              # (hbar omega_P)^2, eV^2
     d_norm: float             # normalization width, nm
-    de: np.ndarray            # transition energies E_m - E_n > 0, eV
-    strength_over_de: np.ndarray  # s_p / dE_p, eV^2
+    de: np.ndarray            # transition energies E_m - E_n >= 0, eV
+    coef: np.ndarray          # pole weights c_p, eV^2
     osc_weight: float         # hbar^2 * oscillator plasma weight, eV^2
+
+    def __post_init__(self):
+        if not 0.0 <= self.gamma < math.inf:
+            raise ValueError(f"relaxation frequency must be finite and >= 0, got {self.gamma}")
+        object.__setattr__(self, "gamma", float(self.gamma))
 
     @property
     def omega_P(self) -> float:
@@ -55,24 +67,15 @@ class DielectricTensor:
 
     @property
     def sum_rule_completeness(self) -> float:
-        """Oscillator weight over the full-sum-rule value 4 pi e^2 n_avg/m.
+        """Oscillator weight over the full-sum-rule value (hbar omega_P)^2.
 
         Equals 1 for a complete partner basis; below 1 when the finite well
         keeps bound states only (continuum transitions are not modeled).
         """
-        exact = 8.0 * math.pi * E2_GAUSS * MU * (self.state.areal_density / self.d_norm)
-        return self.osc_weight / exact
+        return self.osc_weight / self.hw_p2
 
     def with_gamma(self, gamma: float) -> "DielectricTensor":
-        if gamma < 0.0:
-            raise ValueError(f"relaxation frequency must be >= 0, got {gamma}")
-        return replace(self, gamma=float(gamma))
-
-    def eps_xx(self, xi):
-        return eps_xx(self, xi)
-
-    def eps_zz(self, xi):
-        return eps_zz(self, xi)
+        return replace(self, gamma=gamma)
 
 
 def _pair_block(spectrum: WellSpectrum, weights: np.ndarray, j_lo: int, j_hi: int,
@@ -105,27 +108,18 @@ def _pair_block(spectrum: WellSpectrum, weights: np.ndarray, j_lo: int, j_hi: in
     return np.concatenate(de_parts), np.concatenate(num_parts)
 
 
-def build_tensor(state: FilmElectronicState, omega_P_mode: str = "sqrt",
-                 gamma: float = 0.0, table_tol: float = 1e-13,
+def build_tensor(state: FilmElectronicState, gamma: float = 0.0, table_tol: float = 1e-13,
                  weight_tol: float = 1e-9) -> DielectricTensor:
     """Assemble the dielectric tensor of a film state.
 
-    omega_P_mode selects how the in-plane plasma frequency follows the mean
-    electron density n_avg of the normalization slab: "sqrt" uses
-    Omega_P*sqrt(n_avg/n0) (the plasma-frequency definition), "linear" uses
-    Omega_P*(n_avg/n0).  The two agree for models without spill-out.
+    The in-plane plasma frequency follows the mean electron density n_avg
+    of the normalization slab as Omega_P*sqrt(n_avg/n0).
     """
-    if omega_P_mode not in ("sqrt", "linear"):
-        raise ValueError(f"omega_P_mode must be 'sqrt' or 'linear', got {omega_P_mode!r}")
-    if gamma < 0.0:
-        raise ValueError(f"relaxation frequency must be >= 0, got {gamma}")
-
     spectrum = state.spectrum
     d_norm = state.d_box if state.d_box is not None else spectrum.D
     n0 = state.ion_density
     hw_omega2 = 8.0 * math.pi * E2_GAUSS * MU * n0      # (hbar Omega_P)^2
-    ratio = state.n_avg / n0
-    hw_p2 = hw_omega2 * (ratio if omega_P_mode == "sqrt" else ratio * ratio)
+    hw_p2 = hw_omega2 * (state.n_avg / n0)
 
     weights = state.subband_weights
     if isinstance(spectrum.model, FiniteWell):
@@ -161,13 +155,24 @@ def build_tensor(state: FilmElectronicState, omega_P_mode: str = "sqrt",
         num = np.concatenate(keep_num)
 
     with np.errstate(invalid="ignore"):
-        s_over_de = num / de if de.size else num
+        coef = num / de if de.size else num
     de.setflags(write=False)
-    s_over_de.setflags(write=False)
-    return DielectricTensor(
-        state=state, gamma=float(gamma), hw_p2=hw_p2, d_norm=d_norm,
-        de=de, strength_over_de=s_over_de, osc_weight=osc_weight,
-    )
+    coef.setflags(write=False)
+    return DielectricTensor(gamma=gamma, hw_p2=hw_p2, d_norm=d_norm, de=de, coef=coef,
+                            osc_weight=osc_weight)
+
+
+def drude_tensor(bulk: BulkReference, gamma: float, d_norm: float) -> DielectricTensor:
+    """Bulk plasma/Drude response 1 + Omega_P^2/(xi(xi+gamma)) in both directions.
+
+    It is the pole sum with one pole at dE = 0 and weight (hbar Omega_P)^2.
+    """
+    hw2 = (HBAR_EVS * bulk.Omega_P) ** 2
+    de, coef = np.zeros(1), np.full(1, hw2)
+    de.setflags(write=False)
+    coef.setflags(write=False)
+    return DielectricTensor(gamma=gamma, hw_p2=hw2, d_norm=d_norm, de=de, coef=coef,
+                            osc_weight=hw2)
 
 
 def _s_ev2(xi, gamma: float) -> np.ndarray:
@@ -186,13 +191,16 @@ def eps_xx(tensor: DielectricTensor, xi):
 
 
 def eps_zz(tensor: DielectricTensor, xi):
-    """Out-of-plane permittivity at imaginary frequency xi >= 0 (rad/s)."""
+    """Out-of-plane permittivity at imaginary frequency xi >= 0 (rad/s).
+
+    Finite at xi = 0 unless the table holds a dE = 0 pole (the bulk reference).
+    """
     xi_flat = np.asarray(xi, dtype=float).ravel()
     if np.any(xi_flat < 0.0):
         raise ValueError("eps_zz requires xi >= 0")
     s = _s_ev2(xi_flat, tensor.gamma)
     de2 = tensor.de**2
-    coef = tensor.strength_over_de
+    coef = tensor.coef
     out = np.ones_like(xi_flat)
     if de2.size:
         step = max(1, _CHUNK // de2.size)
@@ -202,26 +210,3 @@ def eps_zz(tensor: DielectricTensor, xi):
     if np.ndim(xi) == 0:
         return float(out[0])
     return out.reshape(np.shape(xi))
-
-
-def eps_isotropic_bulk(bulk: BulkReference, gamma: float, xi):
-    """Bulk free-electron permittivity 1 + Omega_P^2/(xi(xi+gamma))."""
-    if gamma < 0.0:
-        raise ValueError(f"relaxation frequency must be >= 0, got {gamma}")
-    xi_arr = np.asarray(xi, dtype=float)
-    if np.any(xi_arr <= 0.0):
-        raise ValueError("bulk permittivity requires xi > 0")
-    out = 1.0 + (HBAR_EVS * bulk.Omega_P) ** 2 / _s_ev2(xi_arr, gamma)
-    return out if np.ndim(xi) else float(out)
-
-
-def write_eps_csv(fh: TextIO, tensor: DielectricTensor, xi_grid) -> None:
-    """Tabulate both tensor components over a grid of imaginary frequencies."""
-    xi_grid = np.asarray(xi_grid, dtype=float)
-    exx = eps_xx(tensor, xi_grid)
-    ezz = eps_zz(tensor, xi_grid)
-    fh.write(f"# dielectric tensor, D={tensor.state.spectrum.D} nm, gamma={tensor.gamma!r} rad/s\n")
-    fh.write("# columns: xi [rad/s], eps_xx, eps_zz\n")
-    fh.write("xi_rad_s,eps_xx,eps_zz\n")
-    for x, a, b in zip(xi_grid, exx, ezz):
-        fh.write(f"{float(x)!r},{float(a)!r},{float(b)!r}\n")

@@ -62,8 +62,8 @@ def fermi_level(spectrum: WellSpectrum, n0: float, D: float | None = None) -> Fi
     EF = (2 pi mu n0 D + sum_n E_n) / m0; the first m0 whose EF does not
     reach the next level is accepted.
     """
-    if n0 <= 0.0:
-        raise ValueError(f"ion density must be positive, got {n0}")
+    if not 0.0 < n0 < math.inf:
+        raise ValueError(f"ion density must be positive and finite, got {n0}")
     if D is None:
         D = spectrum.D
     elif D != spectrum.D:
@@ -122,8 +122,8 @@ def _box_occupation(d: float, ef: float, target: float) -> float:
 def pbm_box_width(bulk: BulkReference, D: float) -> FilmElectronicState:
     """Enlarged-box state: find d >= D so that filling the d-wide hard-wall
     box up to the bulk Fermi level reproduces n0*D electrons per unit area."""
-    if D <= 0.0:
-        raise ValueError(f"film thickness must be positive, got {D}")
+    if not 0.0 < D < math.inf:
+        raise ValueError(f"film thickness must be positive and finite, got {D}")
     target = bulk.n0 * D
     ef = bulk.EF_bulk
 
@@ -189,14 +189,3 @@ def write_fermi_ratio_csv(fh: TextIO, material_name: str, model_name: str, rows)
     fh.write("D_nm,kFD_over_pi,EF_over_EFB,m0\n")
     for d, x, r, m0 in rows:
         fh.write(f"{float(d)!r},{float(x)!r},{float(r)!r},{int(m0)}\n")
-
-
-def write_density_profile_csv(fh: TextIO, state: FilmElectronicState, z) -> None:
-    """Density profile n(z) for one film state."""
-    z = np.asarray(z, dtype=float)
-    n = electron_density(state, z)
-    fh.write(f"# electron density, D={state.spectrum.D} nm, {state.m0} occupied subbands\n")
-    fh.write("# columns: z [nm], n [nm^-3]\n")
-    fh.write("z_nm,n_nm3\n")
-    for zi, ni in zip(z, n):
-        fh.write(f"{float(zi)!r},{float(ni)!r}\n")

@@ -10,19 +10,23 @@ tensor Gauss-Legendre rule of increasing order in polar-like variables
 (radial decay exp(-2 gamma l) is one-dimensional there), and "quadpack"
 nests adaptive quadratures over the rectangular transforms
 xi = xi0 t/(1-t), k = k0 u/(1-u).  They cross-check each other in tests.
+
+A film enters as SlabOptics, plain data: its DielectricTensor and its
+thickness.  The quantized film carries the intersubband pole table; the bulk
+reference carries the plasma/Drude response as the tensor's single pole at
+zero transition energy, so both go through the same eps_xx and eps_zz.
 """
 from __future__ import annotations
 
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
 from .constants import C_NM_S, HBAR_JS
-from .dielectric import DielectricTensor, build_tensor, eps_isotropic_bulk, eps_xx, eps_zz
+from .dielectric import DielectricTensor, build_tensor, drude_tensor, eps_xx, eps_zz
 from .estructure import film_state
 from .materials import Material, derive_bulk
 
@@ -34,12 +38,10 @@ _ORDERS = (16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024)
 
 @dataclass(frozen=True)
 class SlabOptics:
-    """Dielectric response and thickness of one film, ready for the integrand."""
+    """Dielectric tensor and thickness of one film, ready for the integrand."""
 
-    eps_xx: Callable
-    eps_zz: Callable
+    tensor: DielectricTensor
     D: float                # nm
-    omega_scale: float = 0.0  # rad/s, sets the frequency transform scale
 
 
 @dataclass(frozen=True)
@@ -57,21 +59,11 @@ class ForceConvergenceError(RuntimeError):
         self.partial = partial
 
 
-def slab_from_tensor(tensor: DielectricTensor) -> SlabOptics:
-    return SlabOptics(
-        eps_xx=lambda xi: eps_xx(tensor, xi),
-        eps_zz=lambda xi: eps_zz(tensor, xi),
-        D=tensor.state.spectrum.D,
-        omega_scale=tensor.omega_P,
-    )
-
-
 def isotropic_slab(bulk, gamma: float, D: float) -> SlabOptics:
     """Reference film with the bulk free-electron response in both directions."""
-    if D <= 0.0:
-        raise ValueError(f"film thickness must be positive, got {D}")
-    eps = lambda xi: eps_isotropic_bulk(bulk, gamma, xi)
-    return SlabOptics(eps_xx=eps, eps_zz=eps, D=D, omega_scale=bulk.Omega_P)
+    if not 0.0 < D < math.inf:
+        raise ValueError(f"film thickness must be positive and finite, got {D}")
+    return SlabOptics(drude_tensor(bulk, gamma, D), D)
 
 
 def _ln_q(a, b, g_slab, g0, D, ell):
@@ -98,8 +90,8 @@ def _ln_q_both(slab: SlabOptics, k, zeta, ell: float):
     because eps_xx > 1 and eps_zz >= 1 there.
     """
     xi = zeta * C_NM_S
-    exx = slab.eps_xx(xi)
-    ezz = slab.eps_zz(xi)
+    exx = eps_xx(slab.tensor, xi)
+    ezz = eps_zz(slab.tensor, xi)
     # same expression as g_te/g_tm so eps = 1 cancels exactly in rho
     g0 = np.sqrt(k * k + zeta * zeta)
     g_te = np.sqrt(k * k + zeta * zeta * exx)
@@ -111,8 +103,8 @@ def _ln_q_both(slab: SlabOptics, k, zeta, ell: float):
 
 def q_factors(slab: SlabOptics, k: float, xi: float, ell: float) -> tuple[float, float]:
     """Signed reflection factors (Q_TM, Q_TE) entering the pressure integrand."""
-    if k < 0.0 or xi <= 0.0 or ell <= 0.0:
-        raise ValueError("need k >= 0, xi > 0 and ell > 0")
+    if not (0.0 <= k < math.inf and 0.0 < xi < math.inf and 0.0 < ell < math.inf):
+        raise ValueError(f"need finite k >= 0, xi > 0 and ell > 0, got {k}, {xi}, {ell}")
     ln_tm, s_tm, ln_te, s_te = _ln_q_both(slab, k, xi / C_NM_S, ell)
     return float(s_tm * np.exp(ln_tm)), float(s_te * np.exp(ln_te))
 
@@ -158,7 +150,7 @@ def _force_legendre(slab: SlabOptics, ell: float, tol: float, max_order: int) ->
 
 
 def _force_quadpack(slab: SlabOptics, ell: float, tol: float, limit: int = 200) -> ForceResult:
-    zeta0 = max(slab.omega_scale / C_NM_S, 1.0 / ell)
+    zeta0 = max(slab.tensor.omega_P / C_NM_S, 1.0 / ell)
     k0 = 1.0 / ell
     inner_rel = max(tol / 10.0, 1e-13)
     counter = [0]
@@ -217,10 +209,10 @@ def force(slab: SlabOptics, ell: float, tol: float = 1e-6, engine: str = "legend
     Raises ForceConvergenceError (carrying the partial result) when the
     requested tolerance cannot be certified.
     """
-    if ell <= 0.0:
-        raise ValueError(f"gap must be positive, got {ell}")
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not 0.0 < ell < math.inf:
+        raise ValueError(f"gap must be positive and finite, got {ell}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     if engine == "legendre":
         return _force_legendre(slab, ell, tol, max_order)
     if engine == "quadpack":
@@ -233,11 +225,10 @@ def ideal_mirror_pressure(ell: float) -> float:
     return -math.pi**2 / 240.0 * HBAR_JS * C_NM_S * 1e27 / ell**4
 
 
-def quantized_slab(material: Material, model: str, D: float, gamma: float = 0.0,
-                   omega_P_mode: str = "sqrt") -> SlabOptics:
+def quantized_slab(material: Material, model: str, D: float, gamma: float = 0.0) -> SlabOptics:
     """Film optics from the size-quantized dielectric tensor."""
     state = film_state(material, model, D)
-    return slab_from_tensor(build_tensor(state, omega_P_mode=omega_P_mode, gamma=gamma))
+    return SlabOptics(build_tensor(state, gamma=gamma), state.spectrum.D)
 
 
 def reference_slab(material: Material, D: float, gamma: float = 0.0) -> SlabOptics:
@@ -246,23 +237,21 @@ def reference_slab(material: Material, D: float, gamma: float = 0.0) -> SlabOpti
 
 
 def force_pair(material: Material, model: str, D: float, ell: float, gamma: float = 0.0,
-               tol: float = 1e-7, engine: str = "legendre",
-               omega_P_mode: str = "sqrt") -> tuple[ForceResult, ForceResult]:
+               tol: float = 1e-7, engine: str = "legendre") -> tuple[ForceResult, ForceResult]:
     """(quantized, bulk-reference) pressures at identical quadrature settings."""
-    f_q = force(quantized_slab(material, model, D, gamma, omega_P_mode), ell, tol=tol, engine=engine)
+    f_q = force(quantized_slab(material, model, D, gamma), ell, tol=tol, engine=engine)
     f_ref = force(reference_slab(material, D, gamma), ell, tol=tol, engine=engine)
     return f_q, f_ref
 
 
 def delta_D(material: Material, model: str, D: float, ell: float, gamma: float,
-            tol: float = 1e-7, engine: str = "legendre", omega_P_mode: str = "sqrt") -> float:
+            tol: float = 1e-7, engine: str = "legendre") -> float:
     """Relative force reduction (F_ref - F_quantized)/F_ref with relaxation gamma."""
-    f_q, f_ref = force_pair(material, model, D, ell, gamma, tol=tol, engine=engine,
-                            omega_P_mode=omega_P_mode)
+    f_q, f_ref = force_pair(material, model, D, ell, gamma, tol=tol, engine=engine)
     return (f_ref.pressure - f_q.pressure) / f_ref.pressure
 
 
 def delta_P(material: Material, model: str, D: float, ell: float,
-            tol: float = 1e-7, engine: str = "legendre", omega_P_mode: str = "sqrt") -> float:
+            tol: float = 1e-7, engine: str = "legendre") -> float:
     """Force reduction for the dissipationless plasma-type response."""
-    return delta_D(material, model, D, ell, 0.0, tol=tol, engine=engine, omega_P_mode=omega_P_mode)
+    return delta_D(material, model, D, ell, 0.0, tol=tol, engine=engine)

@@ -26,13 +26,13 @@ class Material:
     def __post_init__(self):
         if not self.name:
             raise ValueError("material needs a non-empty name")
-        if self.rs_over_a0 <= 0.0:
-            raise ValueError(f"rs_over_a0 must be positive, got {self.rs_over_a0}")
-        if self.work_function <= 0.0:
-            raise ValueError(f"work_function must be positive, got {self.work_function}")
+        if not 0.0 < self.rs_over_a0 < math.inf:
+            raise ValueError(f"rs_over_a0 must be positive and finite, got {self.rs_over_a0}")
+        if not 0.0 < self.work_function < math.inf:
+            raise ValueError(f"work_function must be positive and finite, got {self.work_function}")
         gammas = tuple(float(g) for g in self.relaxation_frequencies)
-        if any(g < 0.0 for g in gammas):
-            raise ValueError("relaxation frequencies must be >= 0")
+        if not all(0.0 <= g < math.inf for g in gammas):
+            raise ValueError(f"relaxation frequencies must be finite and >= 0, got {gammas}")
         object.__setattr__(self, "relaxation_frequencies", gammas)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TextIO, Union
+from typing import Union
 
 import numpy as np
 from scipy.optimize import brentq
@@ -28,8 +28,8 @@ class FiniteWell:
     v0: float
 
     def __post_init__(self):
-        if self.v0 <= 0.0:
-            raise ValueError(f"well depth must be positive, got {self.v0}")
+        if not 0.0 < self.v0 < math.inf:
+            raise ValueError(f"well depth must be positive and finite, got {self.v0}")
 
 
 @dataclass(frozen=True)
@@ -44,8 +44,8 @@ class ParticleInBox:
     d: float
 
     def __post_init__(self):
-        if self.d <= 0.0:
-            raise ValueError(f"box width must be positive, got {self.d}")
+        if not 0.0 < self.d < math.inf:
+            raise ValueError(f"box width must be positive and finite, got {self.d}")
 
 
 ConfinementModel = Union[FiniteWell, InfiniteWell, ParticleInBox]
@@ -211,8 +211,8 @@ def solve_spectrum(model: ConfinementModel, D: float, n_levels: int = 64) -> Wel
     ignored; the hard-wall models have an unbounded ladder and return the
     first ``n_levels`` levels (use ``WellSpectrum.extended`` for more).
     """
-    if D <= 0.0:
-        raise ValueError(f"film thickness must be positive, got {D}")
+    if not 0.0 < D < math.inf:
+        raise ValueError(f"film thickness must be positive and finite, got {D}")
     if isinstance(model, FiniteWell):
         k = _solve_finite_well(model.v0, D)
         energies = MU * k**2 - model.v0
@@ -231,15 +231,6 @@ def solve_spectrum(model: ConfinementModel, D: float, n_levels: int = 64) -> Wel
     return WellSpectrum(model=model, D=D, k_z=k, energies=energies)
 
 
-def envelope(spectrum: WellSpectrum, n: int, z) -> np.ndarray:
-    return spectrum.envelope(n, z)
-
-
-def momentum_matrix_element(spectrum: WellSpectrum, n: int, m: int) -> float:
-    """Signed matrix element of p_z between levels n and m, in units of hbar/nm."""
-    return spectrum.momentum_integral(n, m)
-
-
 def trk_sum(spectrum: WellSpectrum, n: int) -> float:
     """Oscillator strength sum over the stored levels.
 
@@ -254,11 +245,3 @@ def trk_sum(spectrum: WellSpectrum, n: int) -> float:
     e = spectrum.well_bottom_energies
     de = e[ms - 1] - e[n - 1]
     return float(np.sum(4.0 * MU * i_nm**2 / de))
-
-
-def dump_spectrum_csv(fh: TextIO, spectrum: WellSpectrum) -> None:
-    """Write the level table as CSV (debugging aid)."""
-    fh.write("# columns: n, k_zn [1/nm], E_n [eV]\n")
-    fh.write("n,k_zn,E_n\n")
-    for i, (k, e) in enumerate(zip(spectrum.k_z, spectrum.energies), start=1):
-        fh.write(f"{i},{float(k)!r},{float(e)!r}\n")

@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .dielectric import build_tensor, eps_zz
 from .estructure import ef_ratio, film_state
-from .lifshitz import force, isotropic_slab, slab_from_tensor
+from .lifshitz import force, quantized_slab, reference_slab
 from .materials import Material, derive_bulk
 
 QUANTITIES = ("EF_ratio", "eps_zz0", "delta_P", "delta_D", "force")
@@ -45,8 +45,6 @@ class SweepPlan:
     x_grid: tuple[float, ...] = ()
     gammas: tuple[float, ...] | None = (0.0,)
     force_tol: float = 1e-7
-    omega_P_mode: str = "sqrt"
-    engine: str = "legendre"
     tag: str = ""
     workers: int = 1
 
@@ -68,10 +66,10 @@ class SweepPlan:
         if self.quantity == "delta_D":
             if self.gammas is not None and len(self.gammas) == 0:
                 raise ValueError("delta_D needs a non-empty gamma set (or None for presets)")
-        if self.gammas is not None and any(g < 0.0 for g in self.gammas):
-            raise ValueError("relaxation frequencies must be >= 0")
-        if self.force_tol <= 0.0:
-            raise ValueError("force_tol must be positive")
+        if self.gammas is not None and not all(0.0 <= g < math.inf for g in self.gammas):
+            raise ValueError("relaxation frequencies must be finite and >= 0")
+        if not 0.0 < self.force_tol < math.inf:
+            raise ValueError("force_tol must be positive and finite")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
@@ -80,8 +78,8 @@ def _check_grid(name: str, grid: tuple[float, ...]) -> None:
     if not grid:
         raise ValueError(f"{name} must not be empty for this quantity")
     arr = np.asarray(grid, dtype=float)
-    if np.any(arr <= 0.0) or np.any(np.diff(arr) <= 0.0):
-        raise ValueError(f"{name} must be positive and strictly increasing")
+    if not (np.all((0.0 < arr) & (arr < math.inf)) and np.all(np.diff(arr) > 0.0)):
+        raise ValueError(f"{name} must be positive, finite and strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -123,8 +121,7 @@ def _group_rows(plan: SweepPlan, material: Material, model: str, gamma: float):
                 if plan.quantity == "EF_ratio":
                     rows.append((d_film, x, ef_ratio(state, bulk), state.m0))
                 else:
-                    tensor = build_tensor(state, omega_P_mode=plan.omega_P_mode)
-                    e0 = eps_zz(tensor, 0.0)
+                    e0 = eps_zz(build_tensor(state), 0.0)
                     rows.append((d_film, x, e0, e0 / d_film**2))
             except Exception as exc:  # noqa: BLE001 - recorded, sweep continues
                 failures.append(f"{material.name} {model} D={d_film!r}: {exc}")
@@ -132,20 +129,18 @@ def _group_rows(plan: SweepPlan, material: Material, model: str, gamma: float):
 
     for d_film in plan.D_grid:
         try:
-            state = film_state(material, model, d_film)
-            tensor = build_tensor(state, omega_P_mode=plan.omega_P_mode, gamma=gamma)
-            slab_q = slab_from_tensor(tensor)
-            slab_ref = isotropic_slab(bulk, gamma, d_film)
+            slab_q = quantized_slab(material, model, d_film, gamma)
+            slab_ref = reference_slab(material, d_film, gamma)
         except Exception as exc:  # noqa: BLE001
             failures.append(f"{material.name} {model} D={d_film!r} gamma={gamma!r}: {exc}")
             continue
         for ell in plan.ell_grid:
             try:
-                f_q = force(slab_q, ell, tol=plan.force_tol, engine=plan.engine)
+                f_q = force(slab_q, ell, tol=plan.force_tol)
                 if plan.quantity == "force":
                     rows.append((d_film, ell, f_q.pressure, f_q.abs_error_estimate, f_q.evaluations))
                     continue
-                f_ref = force(slab_ref, ell, tol=plan.force_tol, engine=plan.engine)
+                f_ref = force(slab_ref, ell, tol=plan.force_tol)
                 delta = (f_ref.pressure - f_q.pressure) / f_ref.pressure
                 rows.append((d_film, ell, gamma, f_ref.pressure, f_q.pressure, delta))
             except Exception as exc:  # noqa: BLE001
@@ -177,7 +172,7 @@ def _write_group_csv(path: Path, plan: SweepPlan, material: Material, model: str
         if plan.quantity == "delta_D":
             fh.write(f" gamma={float(gamma)!r} rad/s")
         fh.write("\n")
-        fh.write(f"# omega_P_mode={plan.omega_P_mode} force_tol={plan.force_tol!r} engine={plan.engine}\n")
+        fh.write(f"# force_tol={plan.force_tol!r}\n")
         fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row) + "\n")
@@ -222,8 +217,6 @@ def run(plan: SweepPlan) -> RunReport:
         gam = "presets" if plan.gammas is None else ",".join(repr(float(v)) for v in plan.gammas)
         fh.write(f"gammas={gam}\n")
         fh.write(f"force_tol={plan.force_tol!r}\n")
-        fh.write(f"omega_P_mode={plan.omega_P_mode}\n")
-        fh.write(f"engine={plan.engine}\n")
         fh.write(f"workers={plan.workers}\n")
         fh.write(f"files={len(files)}\n")
         fh.write(f"failures={len(failures)}\n")
@@ -255,6 +248,8 @@ def figure_plan(figure: str, materials: tuple[Material, ...] | None = None,
     """Preset plan for one of the published-figure datasets (fig2..fig9)."""
     if figure not in FIGURES:
         raise ValueError(f"unknown figure {figure!r}, expected one of {FIGURES}")
+    if n_points is not None and n_points < 1:
+        raise ValueError(f"n_points must be >= 1, got {n_points}")
     if materials is None:
         from .materials import PRESETS
 

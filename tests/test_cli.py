@@ -71,6 +71,24 @@ def test_figure_writes_datasets(capsys, tmp_path):
     assert out[-1].startswith("manifest: ")
 
 
+def test_point_infinite_relaxation_exits_one(capsys):
+    assert main(["point", "--material", "Cs", "--model", "FWM",
+                 "--D", "1", "--ell", "1", "--gamma", "inf"]) == 1
+    assert "relaxation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["figure", "fig4", "--tol", "-1"],
+    ["figure", "fig4", "--workers", "0"],
+    ["figure", "fig2", "--points", "0"],
+])
+def test_figure_bad_options_are_usage_errors(capsys, tmp_path, argv):
+    assert main(argv + ["--outdir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert not list(tmp_path.iterdir())
+
+
 def test_figure_outdir_env_var(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("FILMCASIMIR_OUTDIR", str(tmp_path))
     assert main(["figure", "fig2", "--points", "3", "--materials", "Cs"]) == 0

@@ -6,22 +6,17 @@ position matrix elements and dimensionless oscillator strengths
 f_ij = dE_ij |z_ij|^2 / mu.  The library's one-directional (i < j) table
 with weights w_i - w_j must agree identically on the same transition set.
 """
-import io
 import math
+import pickle
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from filmcasimir.constants import E2_GAUSS, HBAR2_OVER_2ME as MU, HBAR_EVS
-from filmcasimir.dielectric import (
-    TensorBuildError,
-    build_tensor,
-    eps_isotropic_bulk,
-    eps_xx,
-    eps_zz,
-)
+from filmcasimir.dielectric import TensorBuildError, build_tensor, eps_xx, eps_zz
 from filmcasimir.estructure import film_state
+from filmcasimir.lifshitz import force, quantized_slab, reference_slab
 from filmcasimir.materials import derive_bulk
 
 XI_PROBE = (0.0, 1e14, 1e15, 1e16, 3e16, 2e17)  # rad/s
@@ -111,27 +106,51 @@ def test_static_response_approaches_closed_form(presets):
         assert rels["Ag", x] == pytest.approx(rels["Cs", x], abs=1e-9)
 
 
+def drude_closed_form(bulk, gamma, xi):
+    """1 + (hbar Omega_P)^2 / (hbar xi (hbar xi + hbar gamma))."""
+    hx = HBAR_EVS * xi
+    return 1.0 + (HBAR_EVS * bulk.Omega_P) ** 2 / (hx * (hx + HBAR_EVS * gamma))
+
+
 def test_in_plane_component_is_plasma_form(presets):
     xi = np.geomspace(1e13, 1e18, 7)
     for model in ("FWM", "IWM"):
         b = derive_bulk(presets["Ag"])
         t = build_tensor(film_state(presets["Ag"], model, 1.5), gamma=1e14)
-        assert np.allclose(eps_xx(t, xi), eps_isotropic_bulk(b, 1e14, xi), rtol=1e-12)
+        assert np.allclose(eps_xx(t, xi), drude_closed_form(b, 1e14, xi), rtol=1e-12)
         assert t.omega_P == pytest.approx(b.Omega_P, rel=1e-12)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 5e13, 1e15])
+def test_reference_is_the_zero_energy_drude_pole(presets, gamma):
+    # the bulk reference is the pole table with one pole at dE = 0, weight (hbar Omega_P)^2
+    xi = np.geomspace(1e12, 1e19, 15)
+    for name in ("Al", "Ag", "Cs"):
+        want = drude_closed_form(derive_bulk(presets[name]), gamma, xi)
+        t = reference_slab(presets[name], 2.0, gamma).tensor
+        assert np.array_equal(eps_xx(t, xi), want)
+        assert np.array_equal(eps_zz(t, xi), want)
+        assert eps_zz(t, float(xi[3])) == want[3]
+        assert t.sum_rule_completeness == 1.0
+
+
+def test_optics_records_pickle_and_give_the_same_force(presets):
+    for slab in (quantized_slab(presets["Cs"], "IWM", 1.0, 1e14),
+                 reference_slab(presets["Cs"], 1.0, 1e14)):
+        back = pickle.loads(pickle.dumps(slab))
+        assert back.D == slab.D and back.tensor.gamma == slab.tensor.gamma
+        assert np.array_equal(back.tensor.de, slab.tensor.de)
+        assert force(back, 3.0, tol=1e-6) == force(slab, 3.0, tol=1e-6)
 
 
 def test_depleted_box_plasma_frequency(presets):
     b = derive_bulk(presets["Ag"])
     st = film_state(presets["Ag"], "PBM", 1.5)
-    t_sqrt = build_tensor(st)
-    t_lin = build_tensor(st, omega_P_mode="linear")
+    t = build_tensor(st)
     ratio = st.n_avg / b.n0
     assert ratio < 1.0
-    assert t_sqrt.omega_P == pytest.approx(b.Omega_P * math.sqrt(ratio), rel=1e-12)
-    assert t_lin.omega_P == pytest.approx(b.Omega_P * ratio, rel=1e-12)
-    assert t_lin.omega_P < t_sqrt.omega_P < b.Omega_P
-    with pytest.raises(ValueError):
-        build_tensor(st, omega_P_mode="cubic")
+    assert t.omega_P == pytest.approx(b.Omega_P * math.sqrt(ratio), rel=1e-12)
+    assert t.omega_P < b.Omega_P
 
 
 def test_sum_rule_completeness(presets):
@@ -198,26 +217,22 @@ def test_argument_validation(presets):
         build_tensor(film_state(presets["Cs"], "IWM", 2.0), gamma=-1.0)
     with pytest.raises(ValueError):
         t.with_gamma(-2.0)
-    b = derive_bulk(presets["Cs"])
     with pytest.raises(ValueError):
-        eps_isotropic_bulk(b, -1.0, 1e15)
+        reference_slab(presets["Cs"], 1.0, gamma=-1.0)
+
+
+@pytest.mark.parametrize("gamma", [math.inf, math.nan])
+def test_non_finite_relaxation_rejected(presets, gamma):
+    st = film_state(presets["Al"], "FWM", 1.0)
+    with pytest.raises(ValueError, match="relaxation"):
+        build_tensor(st, gamma=gamma)
+    with pytest.raises(ValueError, match="relaxation"):
+        build_tensor(st).with_gamma(gamma)
+    with pytest.raises(ValueError, match="relaxation"):
+        reference_slab(presets["Al"], 1.0, gamma)
 
 
 def test_partner_cap_failure_is_loud(presets):
     st = film_state(presets["Cs"], "IWM", 0.5)
     with pytest.raises(TensorBuildError):
         build_tensor(st, table_tol=0.0, weight_tol=0.0)
-
-
-def test_eps_csv_round_trip(presets):
-    t = build_tensor(film_state(presets["Cs"], "IWM", 2.0), gamma=1e14)
-    xi = np.geomspace(1e13, 1e16, 4)
-    buf = io.StringIO()
-    from filmcasimir.dielectric import write_eps_csv
-
-    write_eps_csv(buf, t, xi)
-    rows = [ln for ln in buf.getvalue().splitlines() if not ln.startswith("#")]
-    assert rows[0] == "xi_rad_s,eps_xx,eps_zz"
-    got = np.array([[float(v) for v in ln.split(",")] for ln in rows[1:]])
-    assert np.array_equal(got[:, 0], xi)
-    assert np.array_equal(got[:, 2], eps_zz(t, xi))

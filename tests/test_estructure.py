@@ -19,7 +19,6 @@ from filmcasimir.estructure import (
     fermi_level,
     film_state,
     pbm_box_width,
-    write_density_profile_csv,
     write_fermi_ratio_csv,
 )
 from filmcasimir.materials import Material, derive_bulk
@@ -205,25 +204,27 @@ def test_unknown_model_rejected(presets):
         film_state(presets["Al"], "XYZ", 1.0)
 
 
+@pytest.mark.parametrize("model", ["FWM", "IWM", "PBM"])
+@pytest.mark.parametrize("D", [math.nan, math.inf])
+def test_non_finite_thickness_rejected(presets, model, D):
+    # D=inf used to fill an infinitely wide ladder forever
+    with pytest.raises(ValueError, match="thickness"):
+        film_state(presets["Al"], model, D)
+    with pytest.raises(ValueError, match="thickness"):
+        pbm_box_width(derive_bulk(presets["Al"]), D)
+
+
 def test_fermi_level_validation(presets):
     sp = solve_spectrum(InfiniteWell(), 2.0, n_levels=4)
-    with pytest.raises(ValueError):
-        fermi_level(sp, -1.0)
+    for n0 in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="ion density"):
+            fermi_level(sp, n0)
 
 
 # ----------------------------------------------------------------- csv
 
 
 def test_csv_emitters_round_trip(presets):
-    st = film_state(presets["Cs"], "FWM", 2.0)
-    buf = io.StringIO()
-    write_density_profile_csv(buf, st, np.linspace(-2, 2, 5))
-    rows = [ln for ln in buf.getvalue().splitlines() if not ln.startswith("#")]
-    assert rows[0] == "z_nm,n_nm3"
-    assert len(rows) == 6
-    z0, n0_val = map(float, rows[1].split(","))
-    assert z0 == -2.0 and n0_val >= 0.0
-
     buf = io.StringIO()
     write_fermi_ratio_csv(buf, "Cs", "FWM", [(1.0, 2.05, 1.11, 2)])
     body = [ln for ln in buf.getvalue().splitlines() if not ln.startswith("#")]

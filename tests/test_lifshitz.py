@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 from filmcasimir.constants import C_NM_S
-from filmcasimir.dielectric import build_tensor
-from filmcasimir.estructure import film_state
+from filmcasimir.dielectric import DielectricTensor, eps_xx, eps_zz
 from filmcasimir.lifshitz import (
     ForceConvergenceError,
     SlabOptics,
@@ -26,7 +25,6 @@ from filmcasimir.lifshitz import (
     q_factors,
     quantized_slab,
     reference_slab,
-    slab_from_tensor,
 )
 from filmcasimir.materials import BulkReference, derive_bulk
 
@@ -35,8 +33,8 @@ def bvp_q2(slab: SlabOptics, k: float, xi: float, ell: float) -> tuple[float, fl
     """(Q_TM^2, Q_TE^2) from a direct solve of the matching conditions."""
     zeta = xi / C_NM_S
     g0 = math.hypot(k, zeta)
-    exx = slab.eps_xx(xi)
-    ezz = slab.eps_zz(xi)
+    exx = eps_xx(slab.tensor, xi)
+    ezz = eps_zz(slab.tensor, xi)
     out = []
     for gs, w in (
         (math.sqrt((k * k / ezz + zeta * zeta) * exx), 1.0 / exx),  # TM: match psi'/eps
@@ -59,7 +57,7 @@ def bvp_q2(slab: SlabOptics, k: float, xi: float, ell: float) -> tuple[float, fl
 
 def test_reflection_factors_match_boundary_value_solve(presets):
     slabs = [
-        slab_from_tensor(build_tensor(film_state(presets["Cs"], "FWM", 2.0), gamma=1e14)),
+        quantized_slab(presets["Cs"], "FWM", 2.0, gamma=1e14),
         isotropic_slab(derive_bulk(presets["Al"]), 0.0, 1.5),
     ]
     rng = np.random.default_rng(31)
@@ -79,7 +77,7 @@ def test_thick_slab_reaches_fresnel_half_space(presets):
     thick = isotropic_slab(b, 0.0, 500.0)
     k, xi, ell = 0.05, 1.5e16, 10.0
     zeta = xi / C_NM_S
-    eps = thick.eps_xx(xi)
+    eps = eps_xx(thick.tensor, xi)
     g0 = math.hypot(k, zeta)
     g_te = math.sqrt(k * k + zeta * zeta * eps)
     g_tm = math.sqrt((k * k / eps + zeta * zeta) * eps)
@@ -90,7 +88,7 @@ def test_thick_slab_reaches_fresnel_half_space(presets):
 
 
 def test_reflection_factors_stay_inside_unit_disk(presets):
-    slab = slab_from_tensor(build_tensor(film_state(presets["Ag"], "PBM", 1.0)))
+    slab = quantized_slab(presets["Ag"], "PBM", 1.0)
     rng = np.random.default_rng(77)
     for _ in range(300):
         k = float(rng.uniform(0.0, 2.0))
@@ -102,9 +100,10 @@ def test_reflection_factors_stay_inside_unit_disk(presets):
 
 
 def test_transparent_film_feels_no_force():
-    one = lambda xi: np.ones_like(np.asarray(xi, dtype=float))
-    slab = SlabOptics(eps_xx=one, eps_zz=one, D=1.0, omega_scale=1e16)
-    res = force(slab, 5.0)
+    # no plasma weight and no poles: eps_xx = eps_zz = 1
+    vacuum = DielectricTensor(gamma=0.0, hw_p2=0.0, d_norm=1.0, de=np.empty(0),
+                              coef=np.empty(0), osc_weight=0.0)
+    res = force(SlabOptics(vacuum, D=1.0), 5.0)
     assert res.pressure == 0.0
 
 
@@ -185,6 +184,23 @@ def test_argument_validation(presets):
     with pytest.raises(ValueError):
         isotropic_slab(derive_bulk(presets["Cs"]), 0.0, 0.0)
     with pytest.raises(ValueError):
+        isotropic_slab(derive_bulk(presets["Cs"]), math.inf, 1.0)
+    with pytest.raises(ValueError):
         q_factors(slab, -0.1, 1e15, 1.0)
     with pytest.raises(ValueError):
         q_factors(slab, 0.1, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_force_inputs_rejected_up_front(presets, bad):
+    # a NaN gap or tolerance used to run every order before failing to converge
+    slab = reference_slab(presets["Cs"], 1.0)
+    with pytest.raises(ValueError, match="gap"):
+        force(slab, bad)
+    with pytest.raises(ValueError, match="tolerance"):
+        force(slab, 5.0, tol=bad)
+    with pytest.raises(ValueError, match="thickness"):
+        isotropic_slab(derive_bulk(presets["Cs"]), 0.0, bad)
+    for k, xi, ell in ((bad, 1e15, 1.0), (0.1, bad, 1.0), (0.1, 1e15, bad)):
+        with pytest.raises(ValueError, match="finite"):
+            q_factors(slab, k, xi, ell)

@@ -10,6 +10,8 @@ import json
 import math
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 import scipy.constants as sc
 
 from filmcasimir.materials import (
@@ -91,6 +93,28 @@ def test_material_validation():
                  relaxation_frequencies=(-1e14,))
     with pytest.raises(ValueError):
         Material(name="", rs_over_a0=2.0, work_function=3.0)
+
+
+@given(x=st.floats())
+@example(x=math.nan)
+@example(x=math.inf)
+def test_material_accepts_exactly_finite_positive_inputs(x):
+    # NaN and inf used to construct silently and fail deep inside a solve
+    positive = math.isfinite(x) and x > 0.0
+    for field in ("rs_over_a0", "work_function"):
+        kw = dict(name="m", rs_over_a0=2.0, work_function=3.0)
+        kw[field] = x
+        if positive:
+            Material(**kw)
+        else:
+            with pytest.raises(ValueError, match=field):
+                Material(**kw)
+    gammas = (1e14, x)
+    if math.isfinite(x) and x >= 0.0:
+        Material("m", 2.0, 3.0, gammas)
+    else:
+        with pytest.raises(ValueError, match="relaxation"):
+            Material("m", 2.0, 3.0, gammas)
 
 
 def test_presets_complete(presets):

@@ -9,7 +9,6 @@ Momentum oracle: the commutator identity <n|d/dz|m> = (E_m - E_n)/(2 mu)
 <n|z|m>, with the dipole integral done by adaptive quadrature.  No
 derivatives of the envelope are ever taken numerically.
 """
-import io
 import math
 
 import numpy as np
@@ -23,8 +22,6 @@ from filmcasimir.qwell import (
     FiniteWell,
     InfiniteWell,
     ParticleInBox,
-    dump_spectrum_csv,
-    momentum_matrix_element,
     solve_spectrum,
     trk_sum,
 )
@@ -108,7 +105,7 @@ def test_fw_deep_well_approaches_hard_wall():
     want = np.arange(1, 9) * math.pi / D
     assert np.allclose(sp.k_z[:8], want, rtol=2e-3)
     # and the lowest matrix element approaches the hard-wall value
-    i12 = abs(momentum_matrix_element(sp, 1, 2))
+    i12 = abs(sp.momentum_integral(1, 2))
     assert i12 == pytest.approx(8.0 / (3.0 * D), rel=5e-3)
 
 
@@ -211,7 +208,7 @@ def test_momentum_elements_against_dipole_oracle():
         nmax = min(sp.n_levels, 7)
         for n in range(1, nmax + 1):
             for m in range(n + 1, nmax + 1):
-                got = momentum_matrix_element(sp, n, m)
+                got = sp.momentum_integral(n, m)
                 if (n + m) % 2 == 0:
                     assert got == 0.0
                     continue
@@ -222,20 +219,20 @@ def test_momentum_elements_against_dipole_oracle():
 def test_momentum_antisymmetry_and_parity_selection():
     sp = solve_spectrum(FiniteWell(9.754), 2.0)
     for n in range(1, sp.n_levels + 1):
-        assert momentum_matrix_element(sp, n, n) == 0.0
+        assert sp.momentum_integral(n, n) == 0.0
         for m in range(1, sp.n_levels + 1):
-            a = momentum_matrix_element(sp, n, m)
-            b = momentum_matrix_element(sp, m, n)
+            a = sp.momentum_integral(n, m)
+            b = sp.momentum_integral(m, n)
             assert a == pytest.approx(-b, rel=0, abs=1e-14)
 
 
 def test_hard_wall_momentum_closed_form():
     D = 2.0
     sp = solve_spectrum(InfiniteWell(), D, n_levels=8)
-    assert momentum_matrix_element(sp, 1, 2) == pytest.approx(-8.0 / (3.0 * D), rel=1e-14)
+    assert sp.momentum_integral(1, 2) == pytest.approx(-8.0 / (3.0 * D), rel=1e-14)
     for n, m in [(1, 4), (2, 3), (3, 6)]:
         want = 4.0 * n * m / (D * (n * n - m * m))
-        assert momentum_matrix_element(sp, n, m) == pytest.approx(want, rel=1e-14)
+        assert sp.momentum_integral(n, m) == pytest.approx(want, rel=1e-14)
 
 
 def test_momentum_row_matches_scalar_calls():
@@ -243,7 +240,7 @@ def test_momentum_row_matches_scalar_calls():
     ms = np.arange(1, sp.n_levels + 1)
     row = sp.momentum_row(2, ms)
     for j, m in enumerate(ms):
-        assert row[j] == momentum_matrix_element(sp, 2, int(m))
+        assert row[j] == sp.momentum_integral(2, int(m))
 
 
 # ------------------------------------------------------------ sum rule
@@ -251,7 +248,7 @@ def test_momentum_row_matches_scalar_calls():
 
 def test_trk_sum_hard_wall():
     sp = solve_spectrum(InfiniteWell(), 2.0, n_levels=4000)
-    f12 = 4.0 * MU * momentum_matrix_element(sp, 1, 2) ** 2 / (
+    f12 = 4.0 * MU * sp.momentum_integral(1, 2) ** 2 / (
         sp.energies[1] - sp.energies[0])
     assert f12 == pytest.approx(256.0 / (27.0 * math.pi**2), rel=1e-13)
     assert trk_sum(sp, 1) == pytest.approx(1.0, abs=1e-6)
@@ -277,6 +274,21 @@ def test_solve_spectrum_validation():
         solve_spectrum(ParticleInBox(1.0), 2.0)  # box narrower than the film
 
 
+@pytest.mark.parametrize("model", [FiniteWell(3.0), InfiniteWell(), ParticleInBox(1e9)])
+@pytest.mark.parametrize("D", [math.nan, math.inf])
+def test_non_finite_thickness_rejected(model, D):
+    with pytest.raises(ValueError, match="thickness"):
+        solve_spectrum(model, D)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_model_parameters_rejected(bad):
+    with pytest.raises(ValueError, match="well depth"):
+        FiniteWell(bad)
+    with pytest.raises(ValueError, match="box width"):
+        ParticleInBox(bad)
+
+
 def test_pbm_uses_box_width():
     sp = solve_spectrum(ParticleInBox(2.5), 2.0, n_levels=3)
     assert sp.box_width == 2.5
@@ -290,15 +302,3 @@ def test_extended_adds_levels():
     assert np.array_equal(big.k_z[:4], sp.k_z)
     fw = solve_spectrum(FiniteWell(3.0), 2.0)
     assert fw.extended(10_000) is fw  # bound set is already complete
-
-
-def test_spectrum_csv_dump():
-    sp = solve_spectrum(FiniteWell(3.727), 2.0)
-    buf = io.StringIO()
-    dump_spectrum_csv(buf, sp)
-    lines = buf.getvalue().strip().splitlines()
-    data = [ln for ln in lines if not ln.startswith("#")]
-    assert len(data) == sp.n_levels + 1  # header + one row per level
-    first = data[1].split(",")
-    assert int(first[0]) == 1
-    assert float(first[1]) == sp.k_z[0]

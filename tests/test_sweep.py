@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import filmcasimir.sweep as sweep
 from filmcasimir.estructure import ef_ratio, film_state
 from filmcasimir.lifshitz import delta_P
-from filmcasimir.materials import derive_bulk
+from filmcasimir.materials import derive_bulk, material_table
 from filmcasimir.sweep import FIGURES, SweepPlan, figure_default_materials, figure_plan, run
 
 
@@ -43,6 +45,31 @@ def test_plan_validation_fires_before_compute(presets):
         small_ratio_plan(presets, ".", force_tol=0.0).validate()
     with pytest.raises(ValueError):
         small_ratio_plan(presets, ".", workers=0).validate()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_plan_validation_rejects_non_finite_rates_and_tolerance(presets, bad):
+    plans = [
+        SweepPlan("delta_D", (presets["Cs"],), ("FWM",), D_grid=(1.0,), ell_grid=(1.0,),
+                  gammas=(0.0, bad)),
+        small_ratio_plan(presets, ".", force_tol=bad),
+    ]
+    for plan in plans:
+        with pytest.raises(ValueError):
+            plan.validate()
+
+
+@given(field=st.sampled_from(["D_grid", "ell_grid", "x_grid"]),
+       xs=st.lists(st.floats(0.1, 100.0), min_size=1, max_size=6, unique=True),
+       where=st.integers(0, 5), bad=st.sampled_from([math.nan, math.inf]))
+def test_grid_with_a_non_finite_entry_is_rejected(field, xs, where, bad):
+    grid = sorted(xs)
+    grid[where % len(grid)] = bad
+    quantity = "EF_ratio" if field == "x_grid" else "delta_P"
+    plan = SweepPlan(quantity, (material_table()["Cs"],), ("FWM",),
+                     **{"D_grid": (1.0,), "ell_grid": (1.0,), "x_grid": (1.0,), field: tuple(grid)})
+    with pytest.raises(ValueError, match=field):
+        plan.validate()
 
 
 def test_rerun_is_byte_identical(presets, tmp_path):
@@ -153,3 +180,5 @@ def test_figure_plans_are_valid_and_scoped():
     assert len(figure_plan("fig4", n_points=7).ell_grid) == 7
     with pytest.raises(ValueError):
         figure_plan("fig1")
+    with pytest.raises(ValueError, match="n_points"):
+        figure_plan("fig4", n_points=0)
