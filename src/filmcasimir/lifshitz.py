@@ -15,6 +15,9 @@ A film enters as SlabOptics, plain data: its DielectricTensor and its
 thickness.  The quantized film carries the intersubband pole table; the bulk
 reference carries the plasma/Drude response as the tensor's single pole at
 zero transition energy, so both go through the same eps_xx and eps_zz.
+``quantized_slab`` compiles the film's eps_zz to a checked interpolant when
+that is cheaper than its pole sum, so the cost of the integrand no longer
+grows with the pair count.
 """
 from __future__ import annotations
 
@@ -26,7 +29,7 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
 from .constants import C_NM_S, HBAR_JS
-from .dielectric import DielectricTensor, build_tensor, drude_tensor, eps_xx, eps_zz
+from .dielectric import DielectricTensor, build_tensor, compile_eps_zz, drude_tensor, eps_xx, eps_zz
 from .estructure import film_state
 from .materials import Material, derive_bulk
 
@@ -226,9 +229,9 @@ def ideal_mirror_pressure(ell: float) -> float:
 
 
 def quantized_slab(material: Material, model: str, D: float, gamma: float = 0.0) -> SlabOptics:
-    """Film optics from the size-quantized dielectric tensor."""
+    """Film optics from the size-quantized dielectric tensor, eps_zz compiled once per film."""
     state = film_state(material, model, D)
-    return SlabOptics(build_tensor(state, gamma=gamma), state.spectrum.D)
+    return SlabOptics(compile_eps_zz(build_tensor(state, gamma=gamma)), state.spectrum.D)
 
 
 def reference_slab(material: Material, D: float, gamma: float = 0.0) -> SlabOptics:

@@ -4,7 +4,9 @@ A SweepPlan fixes one quantity and the grids; ``run`` writes one CSV per
 (material, model, gamma) combination plus a plain-text manifest.  Rows are
 computed in a fixed order, so re-running an identical plan reproduces the
 CSV bodies byte for byte.  Point failures are recorded in the manifest and
-the sweep continues.
+the sweep continues.  For the force quantities the manifest also carries one
+``optics=`` line per quantized film: its pair count and how its eps_zz is
+evaluated (fit degree, 0 for the exact pole sum, and the fit's checked error).
 """
 from __future__ import annotations
 
@@ -109,9 +111,10 @@ def _group_key(plan: SweepPlan, material: Material, model: str, gamma: float) ->
 
 
 def _group_rows(plan: SweepPlan, material: Material, model: str, gamma: float):
-    """Rows and failure notes for one output file; importable for workers."""
+    """Rows, failure notes and film optics notes for one output file; importable for workers."""
     rows: list[tuple] = []
     failures: list[str] = []
+    optics: list[str] = []
     bulk = derive_bulk(material)
     if plan.quantity in ("EF_ratio", "eps_zz0"):
         for x in plan.x_grid:
@@ -125,7 +128,7 @@ def _group_rows(plan: SweepPlan, material: Material, model: str, gamma: float):
                     rows.append((d_film, x, e0, e0 / d_film**2))
             except Exception as exc:  # noqa: BLE001 - recorded, sweep continues
                 failures.append(f"{material.name} {model} D={d_film!r}: {exc}")
-        return rows, failures
+        return rows, failures, optics
 
     for d_film in plan.D_grid:
         try:
@@ -134,6 +137,9 @@ def _group_rows(plan: SweepPlan, material: Material, model: str, gamma: float):
         except Exception as exc:  # noqa: BLE001
             failures.append(f"{material.name} {model} D={d_film!r} gamma={gamma!r}: {exc}")
             continue
+        t = slab_q.tensor
+        optics.append(f"{material.name} {model} D={d_film!r} gamma={gamma!r} pairs={t.de.size} "
+                      f"fit_degree={t.fit_degree} fit_err={t.fit_err:.3g}")
         for ell in plan.ell_grid:
             try:
                 f_q = force(slab_q, ell, tol=plan.force_tol)
@@ -146,7 +152,7 @@ def _group_rows(plan: SweepPlan, material: Material, model: str, gamma: float):
             except Exception as exc:  # noqa: BLE001
                 failures.append(
                     f"{material.name} {model} D={d_film!r} ell={ell!r} gamma={gamma!r}: {exc}")
-    return rows, failures
+    return rows, failures, optics
 
 
 _HEADERS = {
@@ -198,11 +204,13 @@ def run(plan: SweepPlan) -> RunReport:
 
     files: list[Path] = []
     failures: list[str] = []
-    for (material, model, gamma), (rows, fails) in zip(groups, results):
+    optics: list[str] = []
+    for (material, model, gamma), (rows, fails, notes) in zip(groups, results):
         path = out / f"{_group_key(plan, material, model, gamma)}.csv"
         _write_group_csv(path, plan, material, model, gamma, rows)
         files.append(path)
         failures.extend(fails)
+        optics.extend(notes)
 
     wall = time.perf_counter() - t0
     manifest = out / f"{plan.tag or plan.quantity}_manifest.txt"
@@ -221,6 +229,8 @@ def run(plan: SweepPlan) -> RunReport:
         fh.write(f"files={len(files)}\n")
         fh.write(f"failures={len(failures)}\n")
         fh.write(f"wall_time_s={wall:.3f}\n")
+        for note in optics:
+            fh.write(f"optics={note}\n")
         for note in failures:
             fh.write(f"failure={note}\n")
 

@@ -11,6 +11,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from filmcasimir.constants import E2_GAUSS, HBAR2_OVER_2ME as MU, HBAR_EVS
@@ -135,12 +137,66 @@ def test_reference_is_the_zero_energy_drude_pole(presets, gamma):
 
 
 def test_optics_records_pickle_and_give_the_same_force(presets):
-    for slab in (quantized_slab(presets["Cs"], "IWM", 1.0, 1e14),
-                 reference_slab(presets["Cs"], 1.0, 1e14)):
+    compiled = quantized_slab(presets["Cs"], "IWM", 1.0, 1e14)
+    assert compiled.tensor.fit_degree > 0
+    for slab in (compiled, reference_slab(presets["Cs"], 1.0, 1e14)):
         back = pickle.loads(pickle.dumps(slab))
         assert back.D == slab.D and back.tensor.gamma == slab.tensor.gamma
         assert np.array_equal(back.tensor.de, slab.tensor.de)
+        assert np.array_equal(back.tensor.fit, slab.tensor.fit)
+        assert (back.tensor.fit_s, back.tensor.fit_err) == (slab.tensor.fit_s, slab.tensor.fit_err)
         assert force(back, 3.0, tol=1e-6) == force(slab, 3.0, tol=1e-6)
+
+
+# xi = 0, then 1e6..1e24 rad/s: the static limit, the flat region far below
+# the smallest transition, every pole, and the 1/s tail past the fit range
+XI_ORACLE = np.concatenate([[0.0], np.geomspace(1e6, 1e24, 73)])
+
+
+@pytest.mark.parametrize("model", ["FWM", "IWM", "PBM"])
+@pytest.mark.parametrize("name", ["Al", "Ag", "Cs"])
+def test_compiled_eps_zz_matches_the_exact_pole_sum(presets, name, model):
+    for D in (1.0, 5.0, 20.0):
+        state = film_state(presets[name], model, D)
+        for gamma in (0.0, presets[name].relaxation_frequencies[0]):
+            t = quantized_slab(presets[name], model, D, gamma).tensor
+            exact = build_tensor(state, gamma)
+            assert np.array_equal(t.de, exact.de) and np.array_equal(t.coef, exact.coef)
+            got, want = eps_zz(t, XI_ORACLE), eps_zz(exact, XI_ORACLE)
+            rel = np.abs(got / want - 1.0)
+            if model == "FWM" and D == 1.0:
+                assert t.fit_degree == 0  # fewer pairs than any useful fit degree
+            if t.fit_degree == 0:  # not worth compiling: the exact sum itself
+                assert t.fit_err == 0.0 and np.array_equal(got, want)
+                continue
+            assert t.fit_degree < t.de.size
+            assert rel.max() <= 1e-12
+            assert t.fit_err <= 1e-12
+            assert rel.max() <= 2.0 * t.fit_err  # the stored error is not understated
+            assert np.all(got >= 1.0)
+            # non-increasing to rounding, and decreasing wherever the sum visibly drops
+            assert np.all(np.diff(got) <= 1e-14 * got[1:])
+            drops = -np.diff(want) > 1e-12 * want[1:]
+            assert np.all(np.diff(got)[drops] < 0.0)
+
+
+@pytest.fixture(scope="module")
+def cs_iwm_tables(presets):
+    """(compiled, exact) tensors of one Cs IWM film."""
+    return (quantized_slab(presets["Cs"], "IWM", 5.0).tensor,
+            build_tensor(film_state(presets["Cs"], "IWM", 5.0)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.just(0.0), st.floats(6.0, 25.0).map(lambda e: 10.0**e)),
+       st.one_of(st.just(0.0), st.floats(0.0, 1e16)))
+def test_compiled_eps_zz_holds_at_any_frequency_and_relaxation(cs_iwm_tables, xi, gamma):
+    compiled, exact = cs_iwm_tables
+    fast = compiled.with_gamma(gamma)
+    assert fast.fit is compiled.fit and fast.fit_s == compiled.fit_s  # the fit is gamma-free
+    got, want = eps_zz(fast, xi), eps_zz(exact.with_gamma(gamma), xi)
+    assert got >= 1.0
+    assert abs(got / want - 1.0) <= 1e-12
 
 
 def test_depleted_box_plasma_frequency(presets):
@@ -213,6 +269,12 @@ def test_argument_validation(presets):
         eps_xx(t, 0.0)
     with pytest.raises(ValueError):
         eps_zz(t, -1.0)
+    # the bulk reference's dE = 0 pole diverges at xi = 0, as eps_xx does
+    drude = reference_slab(presets["Cs"], 1.0).tensor
+    with pytest.raises(ValueError, match="xi = 0"):
+        eps_zz(drude, 0.0)
+    with pytest.raises(ValueError, match="xi = 0"):
+        eps_zz(drude, np.array([1e15, 0.0]))
     with pytest.raises(ValueError):
         build_tensor(film_state(presets["Cs"], "IWM", 2.0), gamma=-1.0)
     with pytest.raises(ValueError):

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from filmcasimir.constants import C_NM_S
-from filmcasimir.dielectric import DielectricTensor, eps_xx, eps_zz
+from filmcasimir.dielectric import DielectricTensor, build_tensor, eps_xx, eps_zz
+from filmcasimir.estructure import film_state
 from filmcasimir.lifshitz import (
     ForceConvergenceError,
     SlabOptics,
@@ -127,6 +128,21 @@ def test_engines_agree(presets):
         b = force(s, 5.0, tol=1e-8, engine="quadpack")
         assert a.pressure == pytest.approx(b.pressure, rel=1e-7)
         assert a.evaluations > 0 and b.evaluations > 0
+
+
+@pytest.mark.parametrize("name,model,D,ell,gamma,compiled", [
+    ("Al", "IWM", 20.0, 1.0, 0.0, True),
+    ("Cs", "PBM", 20.0, 1.0, 0.0, True),
+    ("Ag", "FWM", 5.0, 1.2, 1e14, True),
+    ("Al", "FWM", 1.0, 1.0, 0.0, False),  # 12 pairs: the exact sum is cheaper
+])
+def test_compiled_film_gives_the_exact_sum_pressure(presets, name, model, D, ell, gamma, compiled):
+    fast = quantized_slab(presets[name], model, D, gamma)
+    assert (fast.tensor.fit_degree > 0) == compiled
+    exact = SlabOptics(build_tensor(film_state(presets[name], model, D), gamma), fast.D)
+    a, b = force(fast, ell, tol=1e-6), force(exact, ell, tol=1e-6)
+    assert a.pressure == pytest.approx(b.pressure, rel=1e-10, abs=0.0)
+    assert a.evaluations == b.evaluations
 
 
 def test_error_estimate_is_honest(presets):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import filmcasimir.sweep as sweep
 from filmcasimir.estructure import ef_ratio, film_state
-from filmcasimir.lifshitz import delta_P
+from filmcasimir.lifshitz import delta_P, quantized_slab
 from filmcasimir.materials import derive_bulk, material_table
 from filmcasimir.sweep import FIGURES, SweepPlan, figure_default_materials, figure_plan, run
 
@@ -110,6 +110,20 @@ def test_force_reduction_rows_match_library(presets, tmp_path):
         assert (d_s, ell_s, g_s) == (1.0, ell, 0.0)
         assert delta == (fr - fq) / fr
         assert delta == delta_P(presets["Cs"], "FWM", 1.0, ell, tol=1e-6)
+
+
+def test_manifest_reports_film_optics(presets, tmp_path):
+    plan = SweepPlan("delta_D", (presets["Cs"],), ("FWM", "IWM"), output_dir=str(tmp_path),
+                     D_grid=(1.0,), ell_grid=(5.0,), gammas=(1e14,), force_tol=1e-5)
+    rep = run(plan)
+    lines = [ln for ln in rep.manifest.read_text().splitlines() if ln.startswith("optics=")]
+    assert len(lines) == 2  # one per quantized film
+    for line, model in zip(lines, ("FWM", "IWM")):
+        t = quantized_slab(presets["Cs"], model, 1.0, 1e14).tensor
+        assert line == (f"optics=Cs {model} D=1.0 gamma=100000000000000.0 pairs={t.de.size} "
+                        f"fit_degree={t.fit_degree} fit_err={t.fit_err:.3g}")
+    assert "fit_degree=0 fit_err=0" in lines[0]  # 3 pairs: the exact sum
+    assert "fit_degree=0" not in lines[1]
 
 
 def test_point_failures_recorded_and_sweep_continues(presets, tmp_path, monkeypatch):
