@@ -37,6 +37,10 @@ from .materials import Material, derive_bulk
 _PREF_PA = HBAR_JS * C_NM_S * 1e27 / (2.0 * math.pi**2)
 
 _ORDERS = (16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024)
+# the integrand is evaluated in row blocks of at most this many points, so its
+# temporaries stay small and in cache instead of n*n arrays that are mapped
+# and page-faulted afresh at every order
+_BLOCK = 16384
 
 
 @dataclass(frozen=True)
@@ -135,9 +139,12 @@ def _force_legendre(slab: SlabOptics, ell: float, tol: float, max_order: int) ->
         gam = g_scale * t / (1.0 - t)
         jac = g_scale / (1.0 - t) ** 2
         y = t  # same open rule for the angular variable
-        zeta = gam[:, None] * y[None, :]
-        k = gam[:, None] * np.sqrt(1.0 - y * y)[None, :]
-        integ = _r_sum(slab, k, zeta, ell)
+        s_y = np.sqrt(1.0 - y * y)  # k = gam * s_y, zeta = gam * y
+        integ = np.empty((n, n))
+        rows = max(1, _BLOCK // n)
+        for a in range(0, n, rows):
+            g = gam[a:a + rows, None]
+            integ[a:a + rows] = _r_sum(slab, g * s_y, g * y, ell)
         val = (wt * gam**3 * jac) @ integ @ wt
         evaluations += n * n
         pressure = float(-_PREF_PA * val)
