@@ -16,17 +16,13 @@ The bulk plasma/Drude reference 1 + Omega_P^2/(xi(xi+gamma)) is the same
 pole sum with a single pole at dE = 0 and weight (hbar Omega_P)^2
 (``drude_tensor``), so one DielectricTensor record and one pair of
 functions, eps_xx and eps_zz, serve both the quantized film and its
-continuum reference.
-
-eps_zz - 1 is a Stieltjes function of s = hbar^2 xi (xi + gamma) alone, so a
-film's pole sum can be compiled once into a Chebyshev interpolant in log s
-(``compile_eps_zz``) that serves every xi and every gamma; ``eps_zz`` uses it
-when the tensor carries one and the exact pole sum otherwise.
+continuum reference.  eps_zz is always the exact pole sum: the force
+quadrature needs it only at one frequency node per row of its rule.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,12 +37,6 @@ _PREF = 32.0 * math.pi * E2_GAUSS * MU * MU
 _LEVEL_CAP = 400_000
 _CHUNK = 1 << 23  # max elements of one (xi, pair) block
 
-_FIT_DEGREE = 256     # degree of the eps_zz interpolant before chopping
-_FIT_CHOP = 2e-15     # trailing coefficients below this times the largest are dropped
-_FIT_TOL = 1e-12      # relative error of eps_zz - 1 the build-time check must meet
-_FIT_TAIL = 1e16      # s_hi over the weighted mean dE^2: sum(coef)/s is exact to 1e-16 above s_hi
-_FIT_SMALL = 64       # up to this many points, T_k(x) = cos(k arccos x) beats a Clenshaw loop
-
 
 class TensorBuildError(RuntimeError):
     """The intersubband sum did not converge within the level cap."""
@@ -56,9 +46,7 @@ class TensorBuildError(RuntimeError):
 class DielectricTensor:
     """Pole table and plasma weight of one film at one relaxation rate.
 
-    Plain data: it pickles, and ``eps_xx``/``eps_zz`` evaluate it.  The
-    ``fit`` fields hold the compiled eps_zz of ``compile_eps_zz``; they
-    depend on s only, so ``with_gamma`` keeps them.
+    Plain data: it pickles, and ``eps_xx``/``eps_zz`` evaluate it.
     """
 
     gamma: float              # rad/s
@@ -67,11 +55,6 @@ class DielectricTensor:
     de: np.ndarray            # transition energies E_m - E_n >= 0, eV
     coef: np.ndarray          # pole weights c_p, eV^2
     osc_weight: float         # hbar^2 * oscillator plasma weight, eV^2
-    # Chebyshev coefficients of log((eps_zz - 1)(s + s_lo)) in log(1 + s/s_lo);
-    # empty: eps_zz is the exact pole sum
-    fit: np.ndarray = field(default_factory=lambda: np.empty(0))
-    fit_s: tuple[float, float] = (0.0, 0.0)   # (s_lo, s_hi) of the fit, eV^2
-    fit_err: float = 0.0      # max relative error of eps_zz - 1 at the check points
 
     def __post_init__(self):
         if not 0.0 <= self.gamma < math.inf:
@@ -91,11 +74,6 @@ class DielectricTensor:
         keeps bound states only (continuum transitions are not modeled).
         """
         return self.osc_weight / self.hw_p2
-
-    @property
-    def fit_degree(self) -> int:
-        """Degree of the compiled eps_zz; 0 when eps_zz is the exact pole sum."""
-        return max(self.fit.size - 1, 0)
 
     def with_gamma(self, gamma: float) -> "DielectricTensor":
         return replace(self, gamma=gamma)
@@ -225,86 +203,19 @@ def _pole_sum(tensor: DielectricTensor, s: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fit_sum(tensor: DielectricTensor, s: np.ndarray) -> np.ndarray:
-    """eps_zz - 1 at each s (1-D, eV^2) from the tensor's Chebyshev fit."""
-    s_lo, s_hi = tensor.fit_s
-    c = tensor.fit
-    x = np.minimum(np.log1p(s / s_lo) * (2.0 / math.log1p(s_hi / s_lo)) - 1.0, 1.0)
-    if x.size <= _FIT_SMALL:
-        g = np.cos(np.arccos(x)[:, None] * np.arange(c.size)) @ c
-    else:  # Clenshaw recurrence
-        b1 = b2 = np.zeros_like(x)
-        x2 = 2.0 * x
-        for ck in c[:0:-1]:
-            b1, b2 = x2 * b1 - b2 + ck, b1
-        g = x * b1 - b2 + c[0]
-    out = np.exp(g) / (s + s_lo)
-    tail = s > s_hi
-    if tail.any():
-        out[tail] = tensor.coef.sum() / s[tail]
-    return out
-
-
-def compile_eps_zz(tensor: DielectricTensor) -> DielectricTensor:
-    """The tensor with eps_zz compiled to a checked Chebyshev interpolant, when that pays.
-
-    P(s) = eps_zz - 1 = sum_p c_p/(dE_p^2 + s) depends on s alone.  With
-    s_lo = min dE_p^2 and t = log(1 + s/s_lo) (the log of s + s_lo, shifted),
-    g(t) = log(P(s) (s + s_lo)) is smooth and bounded, running from
-    log(P(0) s_lo) to log(sum c_p).  g is interpolated at the 257 Chebyshev
-    points of [0, log(1 + s_hi/s_lo)], where s_hi is 1e16 times the
-    c-weighted mean dE^2, and trailing coefficients at rounding level are
-    chopped.  Above s_hi eps_zz uses the exact tail sum(c_p)/s.
-
-    The fit is checked against the exact sum at the 258 interleaved points
-    (both ends included) and its error is stored in ``fit_err``.  The
-    tensor is returned unchanged, with the exact sum, unless the check
-    meets 1e-12 relative and the chopped degree is below the pair count,
-    i.e. unless the fit is both accurate and cheaper to evaluate.
-    """
-    de2 = tensor.de**2
-    if de2.size < 2 or not de2.min() > 0.0:
-        return tensor
-    s_lo = float(de2.min())
-    s_hi = _FIT_TAIL * float(np.dot(tensor.coef, de2) / tensor.coef.sum())
-    span = math.log1p(s_hi / s_lo)
-    n = _FIT_DEGREE + 1
-    k = np.arange(n)
-    t = 0.5 * span * (1.0 + np.cos((k + 0.5) * (math.pi / n)))
-    g = np.log(_pole_sum(tensor, s_lo * np.expm1(t))) + (math.log(s_lo) + t)
-    # c_k = (2/n) sum_j g_j cos(k (j + 1/2) pi/n), angles reduced exactly in integers
-    phase = (k[:, None] * (2 * k[None, :] + 1)) % (4 * n)
-    fit = (2.0 / n) * (np.cos(phase * (math.pi / (2 * n))) @ g)
-    fit[0] *= 0.5
-    fit = fit[:np.flatnonzero(np.abs(fit) > _FIT_CHOP * np.abs(fit).max())[-1] + 1]
-    if fit.size - 1 >= de2.size:
-        return tensor
-    fit.setflags(write=False)
-    compiled = replace(tensor, fit=fit, fit_s=(s_lo, s_hi))
-    s_chk = s_lo * np.expm1(0.5 * span * (1.0 + np.cos(np.arange(n + 1) * (math.pi / n))))
-    err = float(np.max(np.abs(_fit_sum(compiled, s_chk) / _pole_sum(tensor, s_chk) - 1.0)))
-    if not err <= _FIT_TOL:
-        return tensor
-    return replace(compiled, fit_err=err)
-
-
 def eps_zz(tensor: DielectricTensor, xi):
     """Out-of-plane permittivity at imaginary frequency xi >= 0 (rad/s).
 
-    Evaluated from the tensor's compiled fit when it carries one, else as
-    the exact pole sum.  Finite at xi = 0 unless the table holds a dE = 0
-    pole (the bulk reference), which raises ValueError there.
+    Finite at xi = 0 unless the table holds a dE = 0 pole (the bulk
+    reference), which raises ValueError there.
     """
     xi_flat = np.asarray(xi, dtype=float).ravel()
     if (xi_flat < 0.0).any():
         raise ValueError("eps_zz requires xi >= 0")
     s = _s_ev2(xi_flat, tensor.gamma)
-    if tensor.fit.size:
-        out = 1.0 + _fit_sum(tensor, s)
-    else:
-        if not s.all() and not tensor.de.all():
-            raise ValueError("eps_zz diverges at xi = 0 for a table with a dE = 0 pole")
-        out = 1.0 + _pole_sum(tensor, s)
+    if not s.all() and not tensor.de.all():
+        raise ValueError("eps_zz diverges at xi = 0 for a table with a dE = 0 pole")
+    out = 1.0 + _pole_sum(tensor, s)
     if np.ndim(xi) == 0:
         return float(out[0])
     return out.reshape(np.shape(xi))

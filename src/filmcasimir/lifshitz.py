@@ -5,19 +5,25 @@ imaginary frequency xi of the two polarization terms Q^2/(1 - Q^2),
 with Q the finite-thickness slab reflection factor times exp(-gamma l).
 All reflection quantities are real on the imaginary axis.
 
-Two independent integration engines are provided: "legendre" evaluates a
-tensor Gauss-Legendre rule of increasing order in polar-like variables
-(radial decay exp(-2 gamma l) is one-dimensional there), and "quadpack"
-nests adaptive quadratures over the rectangular transforms
-xi = xi0 t/(1-t), k = k0 u/(1-u).  They cross-check each other in tests.
+Two independent integration engines are provided.  "legendre" writes the
+integral with k dk = g0 dg0, g0 = sqrt(k^2 + zeta^2), as
+
+    int_0^inf dzeta int_zeta^inf dg0 g0^2 r(g0, zeta),     zeta = xi/c,
+
+and applies a tensor Gauss-Legendre rule of increasing order to zeta outside
+and h = g0 - zeta inside, each mapped from (0, 1) by s u/(1-u).  The gap
+decay exp(-2 g0 l) sets the scale 1.5/l of h; zeta takes the smaller of that
+and omega_P/c, where the response changes.  The tensor depends on frequency
+only, so each order evaluates eps_xx and eps_zz once per zeta node, with the
+exact pole sum.  "quadpack" nests adaptive quadratures over the rectangular
+transforms xi = xi0 t/(1-t), k = k0 u/(1-u).  They cross-check each other in
+tests, and both, like ``q_factors``, go through one reflection core that
+takes (k^2, zeta, eps_xx, eps_zz).
 
 A film enters as SlabOptics, plain data: its DielectricTensor and its
 thickness.  The quantized film carries the intersubband pole table; the bulk
 reference carries the plasma/Drude response as the tensor's single pole at
 zero transition energy, so both go through the same eps_xx and eps_zz.
-``quantized_slab`` compiles the film's eps_zz to a checked interpolant when
-that is cheaper than its pole sum, so the cost of the integrand no longer
-grows with the pair count.
 """
 from __future__ import annotations
 
@@ -29,14 +35,14 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
 from .constants import C_NM_S, HBAR_JS
-from .dielectric import DielectricTensor, build_tensor, compile_eps_zz, drude_tensor, eps_xx, eps_zz
+from .dielectric import DielectricTensor, build_tensor, drude_tensor, eps_xx, eps_zz
 from .estructure import film_state
 from .materials import Material, derive_bulk
 
 # maps the nm^-4 double integral to Pa
 _PREF_PA = HBAR_JS * C_NM_S * 1e27 / (2.0 * math.pi**2)
 
-_ORDERS = (16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024)
+_ORDERS = (32, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024)
 # the integrand is evaluated in row blocks of at most this many points, so its
 # temporaries stay small and in cache instead of n*n arrays that are mapped
 # and page-faulted afresh at every order
@@ -90,21 +96,20 @@ def _ln_q(a, b, g_slab, g0, D, ell):
     return ln_q, np.sign(rho)
 
 
-def _ln_q_both(slab: SlabOptics, k, zeta, ell: float):
+def _ln_q_both(k2, zeta, exx, ezz, D: float, ell: float):
     """(ln|Q_TM|, sign_TM, ln|Q_TE|, sign_TE) on the imaginary axis.
 
-    k and zeta = xi/c in nm^-1; all square-root arguments are positive
-    because eps_xx > 1 and eps_zz >= 1 there.
+    k2 = k^2 in nm^-2 and zeta = xi/c in nm^-1, with exx and ezz the tensor
+    at xi; all square-root arguments are positive because eps_xx > 1 and
+    eps_zz >= 1 there.
     """
-    xi = zeta * C_NM_S
-    exx = eps_xx(slab.tensor, xi)
-    ezz = eps_zz(slab.tensor, xi)
+    zz = zeta * zeta
     # same expression as g_te/g_tm so eps = 1 cancels exactly in rho
-    g0 = np.sqrt(k * k + zeta * zeta)
-    g_te = np.sqrt(k * k + zeta * zeta * exx)
-    g_tm = np.sqrt((k * k / ezz + zeta * zeta) * exx)
-    ln_tm, sign_tm = _ln_q(g_tm, g0 * exx, g_tm, g0, slab.D, ell)
-    ln_te, sign_te = _ln_q(g_te, g0, g_te, g0, slab.D, ell)
+    g0 = np.sqrt(k2 + zz)
+    g_te = np.sqrt(k2 + zz * exx)
+    g_tm = np.sqrt((k2 / ezz + zz) * exx)
+    ln_tm, sign_tm = _ln_q(g_tm, g0 * exx, g_tm, g0, D, ell)
+    ln_te, sign_te = _ln_q(g_te, g0, g_te, g0, D, ell)
     return ln_tm, sign_tm, ln_te, sign_te
 
 
@@ -112,13 +117,14 @@ def q_factors(slab: SlabOptics, k: float, xi: float, ell: float) -> tuple[float,
     """Signed reflection factors (Q_TM, Q_TE) entering the pressure integrand."""
     if not (0.0 <= k < math.inf and 0.0 < xi < math.inf and 0.0 < ell < math.inf):
         raise ValueError(f"need finite k >= 0, xi > 0 and ell > 0, got {k}, {xi}, {ell}")
-    ln_tm, s_tm, ln_te, s_te = _ln_q_both(slab, k, xi / C_NM_S, ell)
+    ln_tm, s_tm, ln_te, s_te = _ln_q_both(k * k, xi / C_NM_S, eps_xx(slab.tensor, xi),
+                                          eps_zz(slab.tensor, xi), slab.D, ell)
     return float(s_tm * np.exp(ln_tm)), float(s_te * np.exp(ln_te))
 
 
-def _r_sum(slab: SlabOptics, k, zeta, ell: float):
+def _r_sum(k2, zeta, exx, ezz, D: float, ell: float):
     """Q_TM^2/(1-Q_TM^2) + Q_TE^2/(1-Q_TE^2), stable near |Q| -> 1 and 0."""
-    ln_tm, _, ln_te, _ = _ln_q_both(slab, k, zeta, ell)
+    ln_tm, _, ln_te, _ = _ln_q_both(k2, zeta, exx, ezz, D, ell)
     out = 0.0
     for ln in (ln_tm, ln_te):
         two_ln = 2.0 * ln
@@ -127,7 +133,9 @@ def _r_sum(slab: SlabOptics, k, zeta, ell: float):
 
 
 def _force_legendre(slab: SlabOptics, ell: float, tol: float, max_order: int) -> ForceResult:
-    g_scale = 1.5 / ell  # radial nodes straddle the exp(-2 gamma ell) support
+    tensor = slab.tensor
+    h_scale = 1.5 / ell  # inner nodes straddle the exp(-2 g0 ell) support
+    z_scale = min(h_scale, tensor.omega_P / C_NM_S) if tensor.omega_P > 0.0 else h_scale
     prev = None
     evaluations = 0
     pressure = math.nan
@@ -136,16 +144,19 @@ def _force_legendre(slab: SlabOptics, ell: float, tol: float, max_order: int) ->
         if n > max_order:
             break
         t, wt = _unit_nodes(n)
-        gam = g_scale * t / (1.0 - t)
-        jac = g_scale / (1.0 - t) ** 2
-        y = t  # same open rule for the angular variable
-        s_y = np.sqrt(1.0 - y * y)  # k = gam * s_y, zeta = gam * y
+        u = t / (1.0 - t)
+        w = wt / (1.0 - t) ** 2  # the same open rule serves both variables
+        zeta, h = z_scale * u, h_scale * u
+        xi = zeta * C_NM_S
+        exx, ezz = eps_xx(tensor, xi), eps_zz(tensor, xi)
         integ = np.empty((n, n))
         rows = max(1, _BLOCK // n)
         for a in range(0, n, rows):
-            g = gam[a:a + rows, None]
-            integ[a:a + rows] = _r_sum(slab, g * s_y, g * y, ell)
-        val = (wt * gam**3 * jac) @ integ @ wt
+            z = zeta[a:a + rows, None]
+            k2 = h * (h + 2.0 * z)  # g0^2 - zeta^2 without cancellation
+            r = _r_sum(k2, z, exx[a:a + rows, None], ezz[a:a + rows, None], slab.D, ell)
+            integ[a:a + rows] = (k2 + z * z) * r
+        val = z_scale * h_scale * (w @ integ @ w)
         evaluations += n * n
         pressure = float(-_PREF_PA * val)
         if prev is not None:
@@ -160,7 +171,8 @@ def _force_legendre(slab: SlabOptics, ell: float, tol: float, max_order: int) ->
 
 
 def _force_quadpack(slab: SlabOptics, ell: float, tol: float, limit: int = 200) -> ForceResult:
-    zeta0 = max(slab.tensor.omega_P / C_NM_S, 1.0 / ell)
+    tensor = slab.tensor
+    zeta0 = max(tensor.omega_P / C_NM_S, 1.0 / ell)
     k0 = 1.0 / ell
     inner_rel = max(tol / 10.0, 1e-13)
     counter = [0]
@@ -171,8 +183,9 @@ def _force_quadpack(slab: SlabOptics, ell: float, tol: float, limit: int = 200) 
         def inner(t):
             counter[0] += 1
             zeta = zeta0 * t / (1.0 - t)
+            xi = zeta * C_NM_S
             g0 = math.hypot(k, zeta)
-            r = _r_sum(slab, k, zeta, ell)
+            r = _r_sum(k * k, zeta, eps_xx(tensor, xi), eps_zz(tensor, xi), slab.D, ell)
             return float(r) * g0 * zeta0 / (1.0 - t) ** 2
 
         val, _ = quad(inner, 0.0, 1.0, epsabs=0.0, epsrel=inner_rel, limit=limit)
@@ -215,6 +228,8 @@ def force(slab: SlabOptics, ell: float, tol: float = 1e-6, engine: str = "legend
         Relative tolerance; on success abs_error_estimate <= tol*|pressure|.
     engine : str
         "legendre" (default) or "quadpack"; see the module docstring.
+    max_order : int
+        Highest legendre order tried; at least the first order, 32.
 
     Raises ForceConvergenceError (carrying the partial result) when the
     requested tolerance cannot be certified.
@@ -223,6 +238,8 @@ def force(slab: SlabOptics, ell: float, tol: float = 1e-6, engine: str = "legend
         raise ValueError(f"gap must be positive and finite, got {ell}")
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
+    if not max_order >= _ORDERS[0]:
+        raise ValueError(f"max_order must be at least {_ORDERS[0]}, got {max_order}")
     if engine == "legendre":
         return _force_legendre(slab, ell, tol, max_order)
     if engine == "quadpack":
@@ -236,9 +253,9 @@ def ideal_mirror_pressure(ell: float) -> float:
 
 
 def quantized_slab(material: Material, model: str, D: float, gamma: float = 0.0) -> SlabOptics:
-    """Film optics from the size-quantized dielectric tensor, eps_zz compiled once per film."""
+    """Film optics from the size-quantized dielectric tensor."""
     state = film_state(material, model, D)
-    return SlabOptics(compile_eps_zz(build_tensor(state, gamma=gamma)), state.spectrum.D)
+    return SlabOptics(build_tensor(state, gamma=gamma), state.spectrum.D)
 
 
 def reference_slab(material: Material, D: float, gamma: float = 0.0) -> SlabOptics:

@@ -5,8 +5,8 @@ A SweepPlan fixes one quantity and the grids; ``run`` writes one CSV per
 computed in a fixed order, so re-running an identical plan reproduces the
 CSV bodies byte for byte.  Point failures are recorded in the manifest and
 the sweep continues.  For the force quantities the manifest also carries one
-``optics=`` line per quantized film: its pair count and how its eps_zz is
-evaluated (fit degree, 0 for the exact pole sum, and the fit's checked error).
+``optics=`` line per quantized film: its pair count and the share of the
+oscillator sum rule its pole table holds.
 """
 from __future__ import annotations
 
@@ -139,7 +139,7 @@ def _group_rows(plan: SweepPlan, material: Material, model: str, gamma: float):
             continue
         t = slab_q.tensor
         optics.append(f"{material.name} {model} D={d_film!r} gamma={gamma!r} pairs={t.de.size} "
-                      f"fit_degree={t.fit_degree} fit_err={t.fit_err:.3g}")
+                      f"sum_rule_completeness={t.sum_rule_completeness:.6g}")
         for ell in plan.ell_grid:
             try:
                 f_q = force(slab_q, ell, tol=plan.force_tol)

@@ -121,9 +121,11 @@ def test_manifest_reports_film_optics(presets, tmp_path):
     for line, model in zip(lines, ("FWM", "IWM")):
         t = quantized_slab(presets["Cs"], model, 1.0, 1e14).tensor
         assert line == (f"optics=Cs {model} D=1.0 gamma=100000000000000.0 pairs={t.de.size} "
-                        f"fit_degree={t.fit_degree} fit_err={t.fit_err:.3g}")
-    assert "fit_degree=0 fit_err=0" in lines[0]  # 3 pairs: the exact sum
-    assert "fit_degree=0" not in lines[1]
+                        f"sum_rule_completeness={t.sum_rule_completeness:.6g}")
+    assert " pairs=3 " in lines[0]
+    # the finite well keeps bound states only; the hard wall holds the whole sum rule
+    assert float(lines[0].split("sum_rule_completeness=")[1]) < 0.99
+    assert float(lines[1].split("sum_rule_completeness=")[1]) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_point_failures_recorded_and_sweep_continues(presets, tmp_path, monkeypatch):
