@@ -11,6 +11,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from filmcasimir.constants import E2_GAUSS, HBAR2_OVER_2ME as MU, HBAR_EVS
@@ -144,6 +146,54 @@ def test_optics_records_pickle_and_give_the_same_force(presets):
         assert force(back, 3.0, tol=1e-6) == force(slab, 3.0, tol=1e-6)
 
 
+# xi = 0, then 1e6..1e24 rad/s: the static limit, the flat region far below
+# the smallest transition, every pole, and the 1/s tail past the last one
+XI_ORACLE = np.concatenate([[0.0], np.geomspace(1e6, 1e24, 73)])
+
+
+def fsum_eps_zz(tensor, xi: float) -> float:
+    """1 + sum_p c_p/(dE_p^2 + s), each term added exactly (math.fsum)."""
+    s = (HBAR_EVS * xi) * (HBAR_EVS * (xi + tensor.gamma))
+    return 1.0 + math.fsum(tensor.coef / (tensor.de**2 + s))
+
+
+@pytest.mark.parametrize("model", ["FWM", "IWM", "PBM"])
+@pytest.mark.parametrize("name", ["Al", "Ag", "Cs"])
+def test_compiled_eps_zz_matches_the_exact_pole_sum(presets, name, model):
+    """The pole table a slab compiles once per film gives the exact sum at every xi."""
+    for D in (1.0, 5.0, 20.0):
+        state = film_state(presets[name], model, D)
+        for gamma in (0.0, presets[name].relaxation_frequencies[0]):
+            t = quantized_slab(presets[name], model, D, gamma).tensor
+            exact = build_tensor(state, gamma)
+            assert np.array_equal(t.de, exact.de) and np.array_equal(t.coef, exact.coef)
+            got = eps_zz(t, XI_ORACLE)
+            want = np.array([fsum_eps_zz(exact, xi) for xi in XI_ORACLE])
+            assert np.abs(got / want - 1.0).max() <= 1e-12
+            assert np.all(got >= 1.0)
+            # non-increasing to rounding, and decreasing wherever the sum visibly drops
+            assert np.all(np.diff(got) <= 1e-14 * got[1:])
+            drops = -np.diff(want) > 1e-12 * want[1:]
+            assert np.all(np.diff(got)[drops] < 0.0)
+
+
+@pytest.fixture(scope="module")
+def cs_iwm_table(presets):
+    """Compiled pole table of one Cs IWM film."""
+    return quantized_slab(presets["Cs"], "IWM", 5.0).tensor
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.just(0.0), st.floats(6.0, 25.0).map(lambda e: 10.0**e)),
+       st.one_of(st.just(0.0), st.floats(0.0, 1e16)))
+def test_compiled_eps_zz_holds_at_any_frequency_and_relaxation(cs_iwm_table, xi, gamma):
+    fast = cs_iwm_table.with_gamma(gamma)
+    assert fast.de is cs_iwm_table.de and fast.coef is cs_iwm_table.coef  # the table is gamma-free
+    got = eps_zz(fast, xi)
+    assert got >= 1.0
+    assert abs(got / fsum_eps_zz(fast, xi) - 1.0) <= 1e-12
+
+
 def test_depleted_box_plasma_frequency(presets):
     b = derive_bulk(presets["Ag"])
     st = film_state(presets["Ag"], "PBM", 1.5)
@@ -173,26 +223,12 @@ def test_out_of_plane_monotone_with_clean_limits(presets):
     # all oscillator weight is recovered at high frequency
     s = (HBAR_EVS * 1e20) ** 2
     assert 0.999 < (eps_zz(t, 1e20) - 1.0) * s / t.osc_weight < 1.0 + 1e-7
-    # every table, from the static limit past its last pole: at least 1 and
-    # non-increasing to rounding, strictly decreasing wherever the sum visibly drops
-    xi = np.concatenate([[0.0], np.geomspace(1e6, 1e24, 73)])
-    for name in ("Al", "Ag", "Cs"):
-        for model in ("FWM", "IWM", "PBM"):
-            for D in (1.0, 5.0, 20.0):
-                live = build_tensor(film_state(presets[name], model, D))
-                for gamma in (0.0, presets[name].relaxation_frequencies[0]):
-                    vals = eps_zz(live.with_gamma(gamma), xi)
-                    assert np.all(vals >= 1.0)
-                    step = np.diff(vals)
-                    assert np.all(step <= 1e-14 * vals[1:])
-                    assert np.all(step[-step > 1e-12 * vals[1:]] < 0.0)
 
 
 def test_relaxation_damps_at_finite_frequency_only(presets):
     st = film_state(presets["Al"], "FWM", 1.0)
     live = build_tensor(st)
     damped = live.with_gamma(1e15)
-    assert damped.de is live.de and damped.coef is live.coef  # the table is gamma-free
     assert eps_zz(damped, 0.0) == eps_zz(live, 0.0)  # S(0) = 0 for any gamma
     for xi in (1e13, 1e15, 1e17):
         assert eps_zz(damped, xi) < eps_zz(live, xi)
