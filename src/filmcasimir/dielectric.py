@@ -18,6 +18,10 @@ pole sum with a single pole at dE = 0 and weight (hbar Omega_P)^2
 functions, eps_xx and eps_zz, serve both the quantized film and its
 continuum reference.  eps_zz is always the exact pole sum: the force
 quadrature needs it only at one frequency node per row of its rule.
+
+The unbounded hard-wall ladders (IWM, PBM) are cut once a partner block adds
+at most table_tol of the static sum; the oscillator weight above the cut is
+added in closed form (build_tensor), so no pair past the table is built.
 """
 from __future__ import annotations
 
@@ -83,38 +87,34 @@ def _pair_block(spectrum: WellSpectrum, weights: np.ndarray, j_lo: int, j_hi: in
                 d_norm: float) -> tuple[np.ndarray, np.ndarray]:
     """Transition energies and strengths for partners j in [j_lo, j_hi].
 
-    Pairs are ordered (i < j) with i occupied; W = w_i - w_j > 0 since the
-    weights decrease with energy.
+    Pairs are ordered (i < j) with i occupied, i-major and ascending in j;
+    W = w_i - w_j > 0 since the weights decrease with energy.
     """
     e = spectrum.well_bottom_energies
     m0 = weights.size
-    de_parts: list[np.ndarray] = []
-    num_parts: list[np.ndarray] = []
-    for i in range(1, m0 + 1):
-        lo = max(j_lo, i + 1)
-        if lo > j_hi:
-            continue
-        js = np.arange(lo, j_hi + 1)
-        js = js[(i + js) % 2 == 1]
-        if js.size == 0:
-            continue
-        i_nm = spectrum.momentum_row(i, js)
-        de = e[js - 1] - e[i - 1]
-        w_j = np.where(js <= m0, weights[np.minimum(js, m0) - 1], 0.0)
-        s = _PREF * i_nm**2 * (weights[i - 1] - w_j) / d_norm
-        de_parts.append(de)
-        num_parts.append(s)
-    if not de_parts:
-        return np.empty(0), np.empty(0)
-    return np.concatenate(de_parts), np.concatenate(num_parts)
+    rows = np.arange(1, m0 + 1)[:, None]
+    cols = np.arange(j_lo, j_hi + 1)
+    ri, ci = np.nonzero((cols > rows) & ((rows % 2 == 1) != (cols % 2 == 1)))
+    i, j = ri + 1, ci + j_lo
+    i_nm = spectrum.momentum_row(i, j)
+    de = e[j - 1] - e[i - 1]
+    w_j = np.where(j <= m0, weights[np.minimum(j, m0) - 1], 0.0)
+    return de, _PREF * i_nm**2 * (weights[i - 1] - w_j) / d_norm
 
 
-def build_tensor(state: FilmElectronicState, gamma: float = 0.0, table_tol: float = 1e-13,
-                 weight_tol: float = 1e-9) -> DielectricTensor:
+def build_tensor(state: FilmElectronicState, gamma: float = 0.0,
+                 table_tol: float = 1e-13) -> DielectricTensor:
     """Assemble the dielectric tensor of a film state.
 
     The in-plane plasma frequency follows the mean electron density n_avg
     of the normalization slab as Omega_P*sqrt(n_avg/n0).
+
+    A finite well pairs its occupied levels with every bound level.  A hard
+    wall's ladder is unbounded: partners are added in doubling blocks until
+    a block adds at most ``table_tol`` of the static sum sum_p c_p/dE_p^2;
+    that block is left out of the table.  The oscillator weight of all
+    partners past the last block is added in closed form
+    (``WellSpectrum.weight_tail``), so ``osc_weight`` is the full sum.
     """
     spectrum = state.spectrum
     d_norm = state.d_box if state.d_box is not None else spectrum.D
@@ -127,13 +127,11 @@ def build_tensor(state: FilmElectronicState, gamma: float = 0.0, table_tol: floa
         de, num = _pair_block(spectrum, weights, 2, spectrum.n_levels, d_norm)
         osc_weight = float(np.sum(num / de)) if de.size else 0.0
     else:
-        # unbounded ladder: extend partners until the static response and the
-        # oscillator weight both converge
         j_hi = max(4 * state.m0, 64)
         spectrum = spectrum.extended(j_hi)
         de, num = _pair_block(spectrum, weights, 2, j_hi, d_norm)
-        static = float(np.sum(num / de**3)) if de.size else 0.0
-        osc_weight = float(np.sum(num / de)) if de.size else 0.0
+        static = float(np.sum(num / de**3))
+        osc_weight = float(np.sum(num / de))
         keep_de, keep_num = [de], [num]
         while True:
             j_lo, j_hi = j_hi + 1, 2 * j_hi
@@ -144,14 +142,13 @@ def build_tensor(state: FilmElectronicState, gamma: float = 0.0, table_tol: floa
             spectrum = spectrum.extended(j_hi)
             de_b, num_b = _pair_block(spectrum, weights, j_lo, j_hi, d_norm)
             static_b = float(np.sum(num_b / de_b**3))
-            weight_b = float(np.sum(num_b / de_b))
-            osc_weight += weight_b
-            if static_b > table_tol * static:
-                keep_de.append(de_b)
-                keep_num.append(num_b)
-                static += static_b
-            if static_b <= table_tol * static and weight_b <= weight_tol * osc_weight:
+            osc_weight += float(np.sum(num_b / de_b))
+            if static_b <= table_tol * static:
                 break
+            keep_de.append(de_b)
+            keep_num.append(num_b)
+            static += static_b
+        osc_weight += _PREF / d_norm * float(weights @ spectrum.weight_tail(weights.size, j_hi))
         de = np.concatenate(keep_de)
         num = np.concatenate(keep_num)
 

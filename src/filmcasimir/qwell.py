@@ -17,6 +17,7 @@ from typing import Union
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.special import zeta
 
 from .constants import HBAR2_OVER_2ME as MU  # eV nm^2
 
@@ -143,8 +144,8 @@ class WellSpectrum:
         self._check_level(m)
         return float(self.momentum_row(n, np.asarray([m]))[0])
 
-    def momentum_row(self, n: int, ms: np.ndarray) -> np.ndarray:
-        """Vectorized I_nm for one n and an array of partner indices."""
+    def momentum_row(self, n: int | np.ndarray, ms: np.ndarray) -> np.ndarray:
+        """Vectorized I_nm; ``n`` is one level or an array broadcast against ``ms``."""
         ms = np.asarray(ms, dtype=int)
         if ms.size and (ms.min() < 1 or ms.max() > self.n_levels):
             raise IndexError("partner index outside the spectrum")
@@ -155,7 +156,7 @@ class WellSpectrum:
             return np.where((n + ms) % 2 == 1, out, 0.0)
         return self._fw_momentum_row(n, ms)
 
-    def _fw_momentum_row(self, n: int, ms: np.ndarray) -> np.ndarray:
+    def _fw_momentum_row(self, n: int | np.ndarray, ms: np.ndarray) -> np.ndarray:
         k, kap, amp = self.k_z, self._fw_kappa, self._fw_amp
         half = 0.5 * self.D
         kn, kapn, an = k[n - 1], kap[n - 1], amp[n - 1]
@@ -164,17 +165,43 @@ class WellSpectrum:
         with np.errstate(divide="ignore", invalid="ignore"):
             s_diff = np.where(ms == n, half, np.sin(diff * half) / diff)
         s_sum = np.sin(summ * half) / summ
-        if n % 2 == 1:
-            # phi_n cos-like, phi_m sin-like; interior integrand ~ cos*cos
-            interior = an * am * km * (s_diff + s_sum)
-            bn = an * math.cos(kn * half)
-            bm = am * np.sin(km * half)
-        else:
-            interior = -an * am * km * (s_diff - s_sum)
-            bn = an * math.sin(kn * half)
-            bm = am * np.cos(km * half)
+        # n odd: phi_n cos-like, phi_m sin-like; interior integrand ~ cos*cos
+        odd = n % 2 == 1
+        interior = np.where(odd, an * am * km * (s_diff + s_sum),
+                            -an * am * km * (s_diff - s_sum))
+        bn = an * np.where(odd, np.cos(kn * half), np.sin(kn * half))
+        bm = am * np.where(odd, np.sin(km * half), np.cos(km * half))
         tails = -2.0 * kapm * bn * bm / (kapn + kapm)
         return np.where((n + ms) % 2 == 1, interior + tails, 0.0)
+
+    def weight_tail(self, n_max: int, j: int) -> np.ndarray:
+        """sum over m > j, m + n odd, of I_nm^2/(E_m - E_n) for n = 1..n_max (nm^-2/eV).
+
+        Hard walls only: each term is (16/(mu pi^2)) n^2 m^2/(m^2 - n^2)^3.
+        With j >= 4 n_max, x = n^2/m^2 < 1/16 and the binomial series in x sums
+        to sum_k C(k+2, 2) n^(2k+2) 2^-(2k+4) zeta(2k+4, q), q = m1/2, with m1
+        the first partner above j (Hurwitz zeta, DLMF 25.11).  Each term is
+        written as C(k+2, 2) r^(k+1) q^s zeta(s, q)/(4 q^2), r = (n/2q)^2 and
+        s = 2k + 4, so that r^(k+1) <= 1 and q^s zeta(s, q) lies in [1, 1 + q/3].
+        """
+        if isinstance(self.model, FiniteWell):
+            raise ValueError("the finite well's bound ladder has no tail")
+        if n_max < 1 or j < 4 * n_max:
+            raise ValueError(f"need 1 <= n_max <= j/4, got n_max={n_max}, j={j}")
+        n = np.arange(1, n_max + 1)
+        q = 0.5 * (j + 1 + (j + n) % 2)
+        r = (n / (2.0 * q)) ** 2
+        total = np.zeros(n_max)
+        k = 0
+        while True:
+            s = 2 * k + 4
+            term = 0.5 * (k + 1) * (k + 2) * r ** (k + 1) * (zeta(s, q) * q**s)
+            total += term
+            # each term is at most 3r <= 3/16 of the one before
+            if (term <= 1e-17 * total).all():
+                break
+            k += 1
+        return 16.0 / (MU * math.pi**2) * total / (4.0 * q * q)
 
 
 def _fw_residual(k, n, D, k0):

@@ -243,6 +243,45 @@ def test_momentum_row_matches_scalar_calls():
         assert row[j] == sp.momentum_integral(2, int(m))
 
 
+@pytest.mark.parametrize("model,D", [(FiniteWell(9.754), 2.0), (FiniteWell(3.727), 1.0),
+                                     (InfiniteWell(), 1.5), (ParticleInBox(3.1), 2.0)])
+def test_momentum_row_broadcasts_an_array_of_levels(model, D):
+    sp = solve_spectrum(model, D, n_levels=12)
+    ns, ms = np.meshgrid(np.arange(1, sp.n_levels + 1), np.arange(1, sp.n_levels + 1),
+                         indexing="ij")
+    grid = sp.momentum_row(ns, ms)
+    for n in range(1, sp.n_levels + 1):
+        assert np.array_equal(grid[n - 1], sp.momentum_row(n, ms[n - 1]))
+    flat = sp.momentum_row(ns.ravel(), ms.ravel())
+    assert np.array_equal(flat, grid.ravel())
+
+
+@pytest.mark.parametrize("model", [InfiniteWell(), ParticleInBox(3.1)])
+@pytest.mark.parametrize("n_max", [1, 7, 40])
+def test_weight_tail_matches_explicit_partner_sums(model, n_max):
+    # tail(j1) - tail(j2) against the explicit terms I_nm^2/(E_m - E_n), m in (j1, j2]
+    for j1 in (4 * n_max, 4 * n_max + 1, 997, 10_007):
+        j2 = 3 * j1 + 1
+        sp = solve_spectrum(model, 2.0, n_levels=j2)
+        e = sp.well_bottom_energies
+        got = sp.weight_tail(n_max, j1) - sp.weight_tail(n_max, j2)
+        ms = np.arange(j1 + 1, j2 + 1)
+        for n in range(1, n_max + 1):
+            terms = sp.momentum_row(n, ms) ** 2 / (e[ms - 1] - e[n - 1])
+            assert got[n - 1] == pytest.approx(math.fsum(terms), rel=1e-12, abs=0.0)
+
+
+def test_weight_tail_needs_a_hard_wall_and_partners_above_the_series_radius():
+    with pytest.raises(ValueError, match="no tail"):
+        solve_spectrum(FiniteWell(9.754), 2.0).weight_tail(2, 64)
+    sp = solve_spectrum(InfiniteWell(), 2.0)
+    with pytest.raises(ValueError):
+        sp.weight_tail(5, 19)
+    with pytest.raises(ValueError):
+        sp.weight_tail(0, 64)
+    assert np.all(sp.weight_tail(5, 20) > 0.0)
+
+
 # ------------------------------------------------------------ sum rule
 
 
