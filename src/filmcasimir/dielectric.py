@@ -20,8 +20,9 @@ continuum reference.  eps_zz is always the exact pole sum: the force
 quadrature needs it only at one frequency node per row of its rule.
 
 The unbounded hard-wall ladders (IWM, PBM) are cut once a partner block adds
-at most table_tol of the static sum; the oscillator weight above the cut is
-added in closed form (build_tensor), so no pair past the table is built.
+at most table_tol of the static sum.  Their oscillator weight is the full
+sum-rule value (hbar omega_P)^2: the hard-wall basis is complete, so no
+partner past the table has to be summed.
 """
 from __future__ import annotations
 
@@ -112,9 +113,9 @@ def build_tensor(state: FilmElectronicState, gamma: float = 0.0,
     A finite well pairs its occupied levels with every bound level.  A hard
     wall's ladder is unbounded: partners are added in doubling blocks until
     a block adds at most ``table_tol`` of the static sum sum_p c_p/dE_p^2;
-    that block is left out of the table.  The oscillator weight of all
-    partners past the last block is added in closed form
-    (``WellSpectrum.weight_tail``), so ``osc_weight`` is the full sum.
+    that block is left out of the table.  The full oscillator weight of a
+    hard wall is (hbar omega_P)^2 by the Thomas-Reiche-Kuhn sum rule, so
+    ``osc_weight`` needs no sum over the ladder.
     """
     spectrum = state.spectrum
     d_norm = state.d_box if state.d_box is not None else spectrum.D
@@ -131,7 +132,6 @@ def build_tensor(state: FilmElectronicState, gamma: float = 0.0,
         spectrum = spectrum.extended(j_hi)
         de, num = _pair_block(spectrum, weights, 2, j_hi, d_norm)
         static = float(np.sum(num / de**3))
-        osc_weight = float(np.sum(num / de))
         keep_de, keep_num = [de], [num]
         while True:
             j_lo, j_hi = j_hi + 1, 2 * j_hi
@@ -142,15 +142,16 @@ def build_tensor(state: FilmElectronicState, gamma: float = 0.0,
             spectrum = spectrum.extended(j_hi)
             de_b, num_b = _pair_block(spectrum, weights, j_lo, j_hi, d_norm)
             static_b = float(np.sum(num_b / de_b**3))
-            osc_weight += float(np.sum(num_b / de_b))
             if static_b <= table_tol * static:
                 break
             keep_de.append(de_b)
             keep_num.append(num_b)
             static += static_b
-        osc_weight += _PREF / d_norm * float(weights @ spectrum.weight_tail(weights.size, j_hi))
         de = np.concatenate(keep_de)
         num = np.concatenate(keep_num)
+        # TRK sum rule of the complete hard-wall basis: sum_{j != i} I_ij^2/(E_j - E_i)
+        # = 1/(4 mu) for every i, so the weight is _PREF N_areal/(4 mu d_norm) = hw_p2
+        osc_weight = hw_p2
 
     with np.errstate(invalid="ignore"):
         coef = num / de if de.size else num

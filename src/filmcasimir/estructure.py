@@ -3,7 +3,9 @@
 Each subband n contributes an areal electron density
 w_n = (E_F - E_n) / (2 pi mu), mu = hbar^2/2m, with E measured from the
 well bottom; filling is fixed by charge neutrality against the ion slab,
-integral n dz = n0 * D.
+integral n dz = n0 * D.  Both the Fermi level of a given spectrum
+(fermi_level) and the enlarged box width at the bulk Fermi level
+(pbm_box_width) are closed forms on each branch of m0 filled subbands.
 """
 from __future__ import annotations
 
@@ -12,13 +14,13 @@ from dataclasses import dataclass
 from typing import TextIO
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .constants import HBAR2_OVER_2ME as MU
 from .materials import BulkReference, derive_bulk, well_depth
 from .qwell import FiniteWell, InfiniteWell, ParticleInBox, WellSpectrum, solve_spectrum
 
 TWO_PI_MU = 2.0 * math.pi * MU  # eV nm^2
+_BOX_BRANCHES = 64  # filled-level counts tried by pbm_box_width above floor(D kF/pi)
 
 
 class CapacityError(RuntimeError):
@@ -108,37 +110,38 @@ def fermi_level(spectrum: WellSpectrum, n0: float, D: float | None = None) -> Fi
     )
 
 
-def _box_occupation(d: float, ef: float, target: float) -> float:
-    """Areal density of a hard-wall box of width d filled up to ef, minus target."""
-    kf = math.sqrt(ef / MU)
-    n_max = int(math.floor(d * kf / math.pi))
-    if n_max == 0:
-        return -target
-    n = np.arange(1, n_max + 1)
-    e = MU * (n * math.pi / d) ** 2
-    return float(np.sum(ef - e)) / TWO_PI_MU - target
-
-
 def pbm_box_width(bulk: BulkReference, D: float) -> FilmElectronicState:
     """Enlarged-box state: find d >= D so that filling the d-wide hard-wall
-    box up to the bulk Fermi level reproduces n0*D electrons per unit area."""
+    box up to the bulk Fermi level reproduces n0*D electrons per unit area.
+
+    With N levels below EF, neutrality reads N EF - mu pi^2 S2(N)/d^2 =
+    2 pi mu n0 D, S2(N) = N(N+1)(2N+1)/6, so each branch N has a closed-form
+    root d_N.  At any d the occupation is the largest of these branch
+    functions (a level above EF would add a negative term, a level below it a
+    positive one), so its root is the smallest d_N: the first N >=
+    floor(D kF/pi) whose d_N lies below the next threshold (N+1) pi/kF.
+    d = D when the D-wide box already holds enough electrons.
+    """
     if not 0.0 < D < math.inf:
         raise ValueError(f"film thickness must be positive and finite, got {D}")
     target = bulk.n0 * D
     ef = bulk.EF_bulk
+    kf = math.sqrt(ef / MU)
 
-    g_low = _box_occupation(D, ef, target)
-    if g_low >= 0.0:
-        d = D
+    # a free-electron bulk stops at the first or second branch tried
+    n_lo = max(int(math.floor(D * kf / math.pi)), 1)
+    for n in range(n_lo, n_lo + _BOX_BRANCHES):
+        excess = n * ef - TWO_PI_MU * target
+        if excess > 0.0:
+            d = math.pi * math.sqrt(MU * (n * (n + 1) * (2 * n + 1) // 6) / excess)
+            if d < (n + 1) * math.pi / kf:
+                break
     else:
-        hi = 2.0 * D
-        while _box_occupation(hi, ef, target) < 0.0:
-            hi *= 2.0
-            if hi > 1e6 * D:
-                raise CapacityError(f"no box width d >= D found for D={D} nm")
-        d = brentq(_box_occupation, D, hi, args=(ef, target), xtol=1e-14 * D, rtol=8.9e-16)
+        raise CapacityError(f"no box width d >= D found within {_BOX_BRANCHES} levels "
+                            f"of the D={D} nm box")
+    d = max(d, D)
 
-    m0 = int(math.floor(d * math.sqrt(ef / MU) / math.pi))
+    m0 = int(math.floor(d * kf / math.pi))
     spectrum = solve_spectrum(ParticleInBox(d), D, n_levels=max(2 * m0, 16))
     weights = (ef - spectrum.well_bottom_energies[:m0]) / TWO_PI_MU
     areal = float(np.sum(weights))

@@ -7,6 +7,12 @@ mimic spill-out while keeping hard-wall states.
 
 Wavevectors are nm^-1, energies eV.  Envelopes are normalized to
 integral |phi|^2 dz = 1 along the confinement axis z.
+
+The hard-wall ladders are closed forms.  The finite well's bound levels are
+solved together, by one vectorized Newton iteration in theta = asin(k/k0)
+(_solve_finite_well); the tail decay constants kappa = k0 cos(theta) are
+taken from the same quantization condition, which keeps their digits for a
+level just below the rim.
 """
 from __future__ import annotations
 
@@ -16,10 +22,10 @@ from functools import cached_property
 from typing import Union
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import zeta
 
 from .constants import HBAR2_OVER_2ME as MU  # eV nm^2
+
+_NEWTON_CAP = 64  # Newton steps for the finite-well levels; reached only on a fault
 
 
 @dataclass(frozen=True)
@@ -83,9 +89,12 @@ class WellSpectrum:
 
     @cached_property
     def _fw_kappa(self) -> np.ndarray:
-        # decay constants sqrt(k0^2 - k^2) of the exponential tails, nm^-1
+        # decay constants of the exponential tails, nm^-1: k0 cos(theta) with
+        # theta = (n pi - k D)/2 from the quantization condition, since
+        # sqrt(k0^2 - k^2) loses digits for a level just below the rim
         k0 = math.sqrt(self.model.v0 / MU)
-        return np.sqrt(np.maximum(k0 * k0 - self.k_z**2, 0.0))
+        n = np.arange(1, self.n_levels + 1)
+        return np.maximum(k0 * np.cos(0.5 * (n * math.pi - self.k_z * self.D)), 0.0)
 
     @cached_property
     def _fw_amp(self) -> np.ndarray:
@@ -174,61 +183,28 @@ class WellSpectrum:
         tails = -2.0 * kapm * bn * bm / (kapn + kapm)
         return np.where((n + ms) % 2 == 1, interior + tails, 0.0)
 
-    def weight_tail(self, n_max: int, j: int) -> np.ndarray:
-        """sum over m > j, m + n odd, of I_nm^2/(E_m - E_n) for n = 1..n_max (nm^-2/eV).
-
-        Hard walls only: each term is (16/(mu pi^2)) n^2 m^2/(m^2 - n^2)^3.
-        With j >= 4 n_max, x = n^2/m^2 < 1/16 and the binomial series in x sums
-        to sum_k C(k+2, 2) n^(2k+2) 2^-(2k+4) zeta(2k+4, q), q = m1/2, with m1
-        the first partner above j (Hurwitz zeta, DLMF 25.11).  Each term is
-        written as C(k+2, 2) r^(k+1) q^s zeta(s, q)/(4 q^2), r = (n/2q)^2 and
-        s = 2k + 4, so that r^(k+1) <= 1 and q^s zeta(s, q) lies in [1, 1 + q/3].
-        """
-        if isinstance(self.model, FiniteWell):
-            raise ValueError("the finite well's bound ladder has no tail")
-        if n_max < 1 or j < 4 * n_max:
-            raise ValueError(f"need 1 <= n_max <= j/4, got n_max={n_max}, j={j}")
-        n = np.arange(1, n_max + 1)
-        q = 0.5 * (j + 1 + (j + n) % 2)
-        r = (n / (2.0 * q)) ** 2
-        total = np.zeros(n_max)
-        k = 0
-        while True:
-            s = 2 * k + 4
-            term = 0.5 * (k + 1) * (k + 2) * r ** (k + 1) * (zeta(s, q) * q**s)
-            total += term
-            # each term is at most 3r <= 3/16 of the one before
-            if (term <= 1e-17 * total).all():
-                break
-            k += 1
-        return 16.0 / (MU * math.pi**2) * total / (4.0 * q * q)
-
-
-def _fw_residual(k, n, D, k0):
-    """Quantization residual k - n pi/D + (2/D) asin(k/k0)."""
-    return k - n * math.pi / D + (2.0 / D) * np.arcsin(np.clip(k / k0, -1.0, 1.0))
-
 
 def _solve_finite_well(v0: float, D: float) -> np.ndarray:
-    """All bound wavevectors of the finite well, by bisection plus Newton polish."""
+    """All bound wavevectors k = k0 sin(theta) of the finite well, at once.
+
+    The quantization condition k + (2/D) asin(k/k0) = n pi/D becomes
+    f(theta) = k0 sin(theta) + 2 theta/D - n pi/D = 0.  f is increasing and
+    concave on [0, pi/2], so Newton's method started at theta = 0 rises
+    monotonically to every root; it stops once each residual is at the
+    rounding level of n pi/D, after one more step.
+    """
     k0 = math.sqrt(v0 / MU)
     n_bound = int(math.floor(k0 * D / math.pi)) + 1
-    roots = np.empty(n_bound)
-    lo = 0.0
-    for n in range(1, n_bound + 1):
-        hi = min(n * math.pi / D, k0)
-        k = brentq(_fw_residual, lo, hi, args=(n, D, k0), xtol=1e-15 * k0, rtol=8.9e-16)
-        # a couple of Newton steps push the residual to rounding level
-        for _ in range(3):
-            g = _fw_residual(k, n, D, k0)
-            dg = 1.0 + (2.0 / D) / math.sqrt(max(k0 * k0 - k * k, 1e-300))
-            step = g / dg
-            if k - step <= lo or k - step >= k0:
-                break
-            k -= step
-        roots[n - 1] = k
-        lo = k
-    return roots
+    target = np.arange(1, n_bound + 1) * (math.pi / D)
+    tol = 16.0 * np.finfo(float).eps * target
+    theta = np.zeros(n_bound)
+    for _ in range(_NEWTON_CAP):
+        resid = target - k0 * np.sin(theta) - (2.0 / D) * theta
+        theta += resid / (k0 * np.cos(theta) + 2.0 / D)
+        if (np.abs(resid) <= tol).all():
+            return k0 * np.sin(theta)
+    raise RuntimeError(f"finite-well levels not converged in {_NEWTON_CAP} Newton steps "
+                       f"(V0={v0} eV, D={D} nm)")
 
 
 def solve_spectrum(model: ConfinementModel, D: float, n_levels: int = 64) -> WellSpectrum:

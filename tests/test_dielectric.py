@@ -213,6 +213,39 @@ def test_sum_rule_completeness(presets):
         assert 0.9 < c < 0.99999  # bound-bound only, continuum weight missing
 
 
+@pytest.mark.parametrize("model", ["IWM", "PBM"])
+@pytest.mark.parametrize("x", [0.6, 7.3, 40.4])
+def test_hard_wall_oscillator_weight_is_the_sum_rule_value(presets, model, x):
+    # the table's sum of c_p plus every partner past the table up to J falls
+    # short of (hbar omega_P)^2 by the partners above J, which are at most
+    # sum_i w_i 16 i^2/(mu pi^2) (1 - i^2/J^2)^-3 (1/J^4 + 1/(6 J^3)) each
+    J = 100_000
+    b = derive_bulk(presets["Cs"])
+    st = film_state(presets["Cs"], model, x * math.pi / b.kF_bulk)
+    t = build_tensor(st)
+    m0, w, i = st.m0, st.subband_weights, np.arange(1, st.m0 + 1)
+    assert t.osc_weight == t.hw_p2 and 1 <= m0 <= 45
+
+    def pairs_up_to(j):
+        return int(sum(max(0, (j - k + 1) // 2) for k in range(1, m0 + 1)))
+
+    j_table = max(4 * m0, 64)
+    while pairs_up_to(j_table) < t.de.size:
+        j_table *= 2
+    assert pairs_up_to(j_table) == t.de.size
+    sp = st.spectrum.extended(J)
+    e = sp.well_bottom_energies
+    past = []
+    for k in i:
+        js = np.arange(j_table + 1 + (j_table + k) % 2, J + 1, 2)
+        past.append(w[k - 1] * sp.momentum_row(int(k), js) ** 2 / (e[js - 1] - e[k - 1]))
+    total = math.fsum(t.coef) + _PREF / t.d_norm * math.fsum(np.concatenate(past))
+    tail = 16.0 * i**2 / (MU * math.pi**2) * (1.0 - i**2 / J**2) ** -3 * (1.0 / J**4 + 1.0 / (6.0 * J**3))
+    bound = _PREF / t.d_norm * float(w @ tail)
+    slack = 1e-14 * t.hw_p2
+    assert -slack <= t.hw_p2 - total <= bound + slack
+
+
 def test_out_of_plane_monotone_with_clean_limits(presets):
     t = build_tensor(film_state(presets["Cs"], "IWM", 2.0))
     xi = np.concatenate([[0.0], np.geomspace(1e12, 1e19, 30)])

@@ -2,7 +2,9 @@
 
 EF oracle: the areal density N(EF) = sum_n max(EF - e_n, 0)/(2 pi mu) is
 monotone in EF, so the neutrality condition can be solved by bisection,
-independently of the library's subband-counting loop.
+independently of the library's subband-counting loop.  The enlarged box
+width is checked the same way: the areal density of a d-wide box filled to
+the bulk Fermi level is continuous and increasing in d.
 """
 import io
 import math
@@ -21,7 +23,7 @@ from filmcasimir.estructure import (
     pbm_box_width,
     write_fermi_ratio_csv,
 )
-from filmcasimir.materials import Material, derive_bulk
+from filmcasimir.materials import BulkReference, Material, derive_bulk
 from filmcasimir.qwell import InfiniteWell, solve_spectrum
 
 TWO_PI_MU = 2.0 * math.pi * MU
@@ -41,6 +43,31 @@ def bisect_fermi_level(spectrum, target_areal: float) -> float:
         return np.sum(np.maximum(ef - e, 0.0)) - TWO_PI_MU * target_areal
 
     return bisect(excess, lo, hi, xtol=1e-14, rtol=8.9e-16)
+
+
+def box_occupation(d: float, bulk) -> float:
+    """Areal density (nm^-2) of a d-wide hard-wall box filled to the bulk EF."""
+    kf = math.sqrt(bulk.EF_bulk / MU)
+    n = np.arange(1, int(d * kf / math.pi) + 1)
+    return float(np.sum(bulk.EF_bulk - MU * (n * math.pi / d) ** 2)) / TWO_PI_MU
+
+
+def bisect_box_width(bulk, D: float) -> float:
+    """Smallest d >= D whose box holds n0*D electrons, bisected to adjacent floats."""
+    target = bulk.n0 * D
+    if box_occupation(D, bulk) >= target:
+        return D
+    lo, hi = D, 2.0 * D
+    while box_occupation(hi, bulk) < target:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return hi
+        if box_occupation(mid, bulk) < target:
+            lo = mid
+        else:
+            hi = mid
 
 
 def test_single_subband_closed_form():
@@ -146,6 +173,44 @@ def test_pbm_box_width_and_pinned_fermi_level(presets):
         assert abs(areal - b.n0 * D) < 1e-10 * b.n0 * D
 
 
+def test_pbm_box_width_matches_bisection_oracle():
+    rng = np.random.default_rng(31)
+    for _ in range(150):
+        b = derive_bulk(Material("r", float(rng.uniform(1.8, 6.0)), 3.0))
+        D = float(np.exp(rng.uniform(math.log(0.2), math.log(60.0))))
+        st = pbm_box_width(b, D)
+        assert st.d_box == pytest.approx(bisect_box_width(b, D), rel=1e-13)
+        assert st.m0 == int(st.d_box * b.kF_bulk / math.pi)
+
+
+@pytest.mark.parametrize("N", [2, 5, 30])
+def test_pbm_box_width_where_the_filled_count_changes(presets, N):
+    # at D_c the box width is exactly N pi/kF: level N sits at EF, empty
+    b = derive_bulk(presets["Ag"])
+    ef = b.EF_bulk
+    D_c = math.fsum(ef * (1.0 - (n / N) ** 2) for n in range(1, N)) / (TWO_PI_MU * b.n0)
+    for D, m0 in ((D_c * (1 - 1e-9), N - 1), (D_c, None), (D_c * (1 + 1e-9), N)):
+        st = pbm_box_width(b, D)
+        assert st.d_box == pytest.approx(bisect_box_width(b, D), rel=1e-13)
+        assert st.d_box == pytest.approx(N * math.pi / b.kF_bulk, rel=1e-8)
+        assert st.m0 in ((N - 1, N) if m0 is None else (m0,))
+
+
+def test_pbm_box_width_keeps_a_box_that_already_holds_the_charge(presets):
+    # a bulk density the D-wide box holds exactly: d = D; below it the
+    # D-wide box is overfilled and the neutrality check is loud
+    b = derive_bulk(presets["Al"])
+    D = 1.3
+    exact = BulkReference(box_occupation(D, b) / D, b.kF_bulk, b.EF_bulk, b.Omega_P)
+    st = pbm_box_width(exact, D)
+    assert st.d_box == pytest.approx(D, rel=1e-13)
+    assert st.m0 == int(D * b.kF_bulk / math.pi)
+    thin = BulkReference(0.9 * exact.n0, b.kF_bulk, b.EF_bulk, b.Omega_P)
+    assert bisect_box_width(thin, D) == D
+    with pytest.raises(CapacityError, match="neutrality"):
+        pbm_box_width(thin, D)
+
+
 def test_pbm_box_width_approaches_film_width(presets):
     b = derive_bulk(presets["Al"])
     widths = [pbm_box_width(b, D).d_box / D for D in (1.0, 5.0, 20.0, 80.0)]
@@ -197,6 +262,11 @@ def test_capacity_error_is_loud():
     shallow = Material("shallow", 2.07, 1e-3)
     with pytest.raises(CapacityError):
         film_state(shallow, "FWM", 0.35)
+    # an enlarged box that would need ~1000x the film's filled levels
+    b = derive_bulk(Material("dense", 3.0, 3.0))
+    dense = BulkReference(1e3 * b.n0, b.kF_bulk, b.EF_bulk, b.Omega_P)
+    with pytest.raises(CapacityError, match="no box width"):
+        pbm_box_width(dense, 2.0)
 
 
 def test_unknown_model_rejected(presets):

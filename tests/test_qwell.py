@@ -5,17 +5,24 @@ Root oracle: the textbook even/odd quantization conditions in product form
 sin(kD/2)), scanned on a dense grid and bisected.  This is an independent
 derivation; the library solves the single arcsin form instead.
 
+Level oracles for the edge cases: a 50-digit mpmath solve of the same
+condition in theta = asin(k/k0), which also gives kappa = k0 cos(theta)
+without cancellation, and bisection of the arcsin form on each level's own
+bracket [(n-1) pi/D, min(n pi/D, k0)].
+
 Momentum oracle: the commutator identity <n|d/dz|m> = (E_m - E_n)/(2 mu)
 <n|z|m>, with the dipole integral done by adaptive quadrature.  No
 derivatives of the envelope are ever taken numerically.
 """
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import bisect
 
+from filmcasimir import qwell
 from filmcasimir.constants import HBAR2_OVER_2ME as MU
 from filmcasimir.materials import derive_bulk, well_depth
 from filmcasimir.qwell import (
@@ -45,6 +52,28 @@ def scan_roots(v0: float, D: float, n_grid: int = 1_000_000) -> np.ndarray:
         for i in sign_flip:
             roots.append(bisect(h, ks[i], ks[i + 1], xtol=1e-15, rtol=8.9e-16))
     return np.sort(np.asarray(roots))
+
+
+def mp_level(v0: float, D: float, n: int) -> tuple[float, float]:
+    """(k_n, kappa_n) from a 50-digit solve of k0 sin(t) + 2t/D = n pi/D."""
+    with mpmath.workdps(50):
+        k0 = mpmath.sqrt(mpmath.mpf(v0) / mpmath.mpf(MU))
+        d = mpmath.mpf(D)
+        t = mpmath.findroot(lambda t: k0 * mpmath.sin(t) + 2 * t / d - n * mpmath.pi / d,
+                            (mpmath.mpf(0), mpmath.pi / 2), solver="anderson")
+        return float(k0 * mpmath.sin(t)), float(k0 * mpmath.cos(t))
+
+
+def bisect_levels(v0: float, D: float, n_bound: int) -> np.ndarray:
+    """Levels 1..n_bound by bisection of k - n pi/D + (2/D) asin(k/k0)."""
+    k0 = math.sqrt(v0 / MU)
+    n = np.arange(1, n_bound + 1)
+    lo, hi = (n - 1) * math.pi / D, np.minimum(n * math.pi / D, k0)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        low = mid - n * math.pi / D + (2.0 / D) * np.arcsin(mid / k0) < 0.0
+        lo, hi = np.where(low, mid, lo), np.where(low, hi, mid)
+    return 0.5 * (lo + hi)
 
 
 def dipole_momentum(spectrum, n: int, m: int) -> float:
@@ -89,6 +118,62 @@ def test_fw_root_count_formula():
         sp = solve_spectrum(FiniteWell(v0), D)
         k0 = math.sqrt(v0 / MU)
         assert sp.n_levels == int(k0 * D / math.pi) + 1
+
+
+@pytest.mark.parametrize("N", [1, 2, 5])
+@pytest.mark.parametrize("offset", [1e-12, -1e-12])
+def test_fw_levels_at_the_binding_threshold(N, offset):
+    # k0 D/pi = N + 1e-12 binds level N+1 barely; N - 1e-12 has just lost it
+    v0 = 4.0
+    k0 = math.sqrt(v0 / MU)
+    D = (N + offset) * math.pi / k0
+    sp = solve_spectrum(FiniteWell(v0), D)
+    assert sp.n_levels == (N + 1 if offset > 0 else N)
+    for n in range(1, sp.n_levels + 1):
+        k, kap = mp_level(v0, D, n)
+        assert abs(sp.k_z[n - 1] - k) < 1e-12 * k0
+        assert abs(sp._fw_kappa[n - 1] - kap) < 1e-14 * k0
+    assert np.all(sp._fw_kappa > 0.0) and np.all(np.isfinite(sp._fw_amp))
+    ms = np.arange(1, sp.n_levels + 1)
+    assert np.all(np.isfinite(sp.momentum_row(1, ms)))
+
+
+@pytest.mark.parametrize("v0,D", [(0.5, 0.3), (4.0, 0.25), (40.0, 0.05)])
+def test_fw_one_level_well(v0, D):
+    assert math.sqrt(v0 / MU) * D < math.pi
+    sp = solve_spectrum(FiniteWell(v0), D)
+    assert sp.n_levels == 1
+    k, kap = mp_level(v0, D, 1)
+    assert sp.k_z[0] == pytest.approx(k, rel=1e-14)
+    assert sp._fw_kappa[0] == pytest.approx(kap, rel=1e-12)
+
+
+def test_fw_deep_well_with_hundreds_of_levels():
+    v0, D = 1e6, 0.3
+    k0 = math.sqrt(v0 / MU)
+    sp = solve_spectrum(FiniteWell(v0), D)
+    assert sp.n_levels == int(k0 * D / math.pi) + 1 > 400
+    want = bisect_levels(v0, D, sp.n_levels)
+    assert np.max(np.abs(sp.k_z - want)) < 1e-12 * k0
+    assert np.all(np.diff(sp.k_z) > 0.0) and sp.k_z[-1] < k0
+
+
+def test_fw_kappa_just_below_the_rim(presets):
+    # level 2 sits 2e-3 nm^-1 below the rim of a 9.9 nm^-1 well; sqrt(k0^2 - k^2)
+    # was 1e-9 off here
+    b = derive_bulk(presets["Cs"])
+    v0, D = well_depth(presets["Cs"], b.EF_bulk), 0.3176949
+    sp = solve_spectrum(FiniteWell(v0), D)
+    k, kap = mp_level(v0, D, 2)
+    assert sp.n_levels == 2 and kap < 3e-3
+    assert sp.k_z[1] == pytest.approx(k, rel=1e-15)
+    assert sp._fw_kappa[1] == pytest.approx(kap, rel=1e-11)
+
+
+def test_fw_newton_cap_is_loud(monkeypatch):
+    monkeypatch.setattr(qwell, "_NEWTON_CAP", 2)
+    with pytest.raises(RuntimeError, match="not converged"):
+        solve_spectrum(FiniteWell(9.754), 2.0)
 
 
 def test_fw_energies_bound_and_ordered():
@@ -254,32 +339,6 @@ def test_momentum_row_broadcasts_an_array_of_levels(model, D):
         assert np.array_equal(grid[n - 1], sp.momentum_row(n, ms[n - 1]))
     flat = sp.momentum_row(ns.ravel(), ms.ravel())
     assert np.array_equal(flat, grid.ravel())
-
-
-@pytest.mark.parametrize("model", [InfiniteWell(), ParticleInBox(3.1)])
-@pytest.mark.parametrize("n_max", [1, 7, 40])
-def test_weight_tail_matches_explicit_partner_sums(model, n_max):
-    # tail(j1) - tail(j2) against the explicit terms I_nm^2/(E_m - E_n), m in (j1, j2]
-    for j1 in (4 * n_max, 4 * n_max + 1, 997, 10_007):
-        j2 = 3 * j1 + 1
-        sp = solve_spectrum(model, 2.0, n_levels=j2)
-        e = sp.well_bottom_energies
-        got = sp.weight_tail(n_max, j1) - sp.weight_tail(n_max, j2)
-        ms = np.arange(j1 + 1, j2 + 1)
-        for n in range(1, n_max + 1):
-            terms = sp.momentum_row(n, ms) ** 2 / (e[ms - 1] - e[n - 1])
-            assert got[n - 1] == pytest.approx(math.fsum(terms), rel=1e-12, abs=0.0)
-
-
-def test_weight_tail_needs_a_hard_wall_and_partners_above_the_series_radius():
-    with pytest.raises(ValueError, match="no tail"):
-        solve_spectrum(FiniteWell(9.754), 2.0).weight_tail(2, 64)
-    sp = solve_spectrum(InfiniteWell(), 2.0)
-    with pytest.raises(ValueError):
-        sp.weight_tail(5, 19)
-    with pytest.raises(ValueError):
-        sp.weight_tail(0, 64)
-    assert np.all(sp.weight_tail(5, 20) > 0.0)
 
 
 # ------------------------------------------------------------ sum rule
