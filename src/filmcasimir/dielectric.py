@@ -40,7 +40,7 @@ from .qwell import FiniteWell, WellSpectrum
 _PREF = 32.0 * math.pi * E2_GAUSS * MU * MU
 
 _LEVEL_CAP = 400_000
-_CHUNK = 1 << 23  # max elements of one (xi, pair) block
+_CHUNK = 1 << 16  # max elements of one (xi, pair) block: 512 kB, cache-sized
 
 
 class TensorBuildError(RuntimeError):
@@ -190,14 +190,22 @@ def eps_xx(tensor: DielectricTensor, xi):
 
 
 def _pole_sum(tensor: DielectricTensor, s: np.ndarray) -> np.ndarray:
-    """Exact eps_zz - 1 = sum_p c_p/(dE_p^2 + s) at each s (1-D, eV^2)."""
+    """Exact eps_zz - 1 = sum_p c_p/(dE_p^2 + s) at each s (1-D, eV^2).
+
+    Every (s, pole) block is formed and reduced in one buffer allocated per
+    call, so a large table costs no fresh multi-MB temporaries per block.
+    """
     de2 = tensor.de**2
     out = np.zeros_like(s)
     if de2.size:
         step = max(1, _CHUNK // de2.size)
+        buf = np.empty((min(step, s.size), de2.size))
         for a in range(0, s.size, step):
             block = s[a:a + step]
-            out[a:a + step] = (tensor.coef / (de2[None, :] + block[:, None])).sum(axis=1)
+            b = buf[:block.size]
+            np.add.outer(block, de2, out=b)
+            np.divide(tensor.coef, b, out=b)
+            b.sum(axis=1, out=out[a:a + step])
     return out
 
 

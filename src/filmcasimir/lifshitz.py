@@ -11,14 +11,16 @@ integral with k dk = g0 dg0, g0 = sqrt(k^2 + zeta^2), as
     int_0^inf dzeta int_zeta^inf dg0 g0^2 r(g0, zeta),     zeta = xi/c,
 
 and applies a tensor Gauss-Legendre rule of increasing order to zeta outside
-and h = g0 - zeta inside, each mapped from (0, 1) by s u/(1-u).  The gap
-decay exp(-2 g0 l) sets the scale 1.5/l of h; zeta takes the smaller of that
-and omega_P/c, where the response changes.  The tensor depends on frequency
-only, so each order evaluates eps_xx and eps_zz once per zeta node, with the
-exact pole sum.  "quadpack" nests adaptive quadratures over the rectangular
-transforms xi = xi0 t/(1-t), k = k0 u/(1-u).  They cross-check each other in
-tests, and both, like ``q_factors``, go through one reflection core that
-takes (k^2, zeta, eps_xx, eps_zz).
+and h = g0 - zeta inside, with h = s_h u and zeta = s_z u^2 for u = t/(1-t),
+t in (0, 1).  The gap decay exp(-2 g0 l) sets the scale s_h = 1.5/l; s_z is
+the smaller of that and omega_P/c, where the response changes.  zeta goes
+as u^2 because with relaxation the TE term grows like sqrt(zeta) near 0,
+which is smooth in u.  The tensor depends on frequency only, so each order
+evaluates eps_xx and eps_zz once per zeta node, with the exact pole sum.
+"quadpack" nests adaptive quadratures over the rectangular transforms
+xi = xi0 t/(1-t), k = k0 u/(1-u).  They cross-check each other in tests, and
+both, like ``q_factors``, go through one reflection core that takes
+(k^2, zeta, eps_xx, eps_zz).
 
 A film enters as SlabOptics, plain data: its DielectricTensor and its
 thickness.  The quantized film carries the intersubband pole table; the bulk
@@ -84,7 +86,9 @@ def _ln_q(a, b, g_slab, g0, D, ell):
 
     rho = (a - b)/(a + b); the slab factor rho(1 - e)/(1 - rho^2 e) with
     e = exp(-2 g_slab D) stays in (-1, 1), and 1 - |slab factor| is computed
-    cancellation-free as (1 - |rho|)(1 + |rho| e)/(1 - rho^2 e).
+    cancellation-free as (1 - |rho|)(1 + |rho| e)/(1 - rho^2 e).  Rounding
+    can lift that above 1 where |rho| ~ 1e-16 (far out in zeta); it is capped
+    at 1, so Q = 0 there instead of NaN.
     """
     denom = a + b
     rho = (a - b) / denom
@@ -92,7 +96,7 @@ def _ln_q(a, b, g_slab, g0, D, ell):
     e2d = np.exp(-2.0 * g_slab * D)
     one_minus_slab = (2.0 * np.minimum(a, b) / denom) * (1.0 + abs_rho * e2d) / (1.0 - rho * rho * e2d)
     with np.errstate(divide="ignore"):
-        ln_q = np.log1p(-one_minus_slab) - g0 * ell
+        ln_q = np.log1p(-np.minimum(one_minus_slab, 1.0)) - g0 * ell
     return ln_q, np.sign(rho)
 
 
@@ -145,8 +149,8 @@ def _force_legendre(slab: SlabOptics, ell: float, tol: float, max_order: int) ->
             break
         t, wt = _unit_nodes(n)
         u = t / (1.0 - t)
-        w = wt / (1.0 - t) ** 2  # the same open rule serves both variables
-        zeta, h = z_scale * u, h_scale * u
+        w = wt / (1.0 - t) ** 2
+        zeta, h, w_z = z_scale * u * u, h_scale * u, 2.0 * u * w  # dzeta = 2u du
         xi = zeta * C_NM_S
         exx, ezz = eps_xx(tensor, xi), eps_zz(tensor, xi)
         integ = np.empty((n, n))
@@ -156,7 +160,7 @@ def _force_legendre(slab: SlabOptics, ell: float, tol: float, max_order: int) ->
             k2 = h * (h + 2.0 * z)  # g0^2 - zeta^2 without cancellation
             r = _r_sum(k2, z, exx[a:a + rows, None], ezz[a:a + rows, None], slab.D, ell)
             integ[a:a + rows] = (k2 + z * z) * r
-        val = z_scale * h_scale * (w @ integ @ w)
+        val = z_scale * h_scale * (w_z @ integ @ w)
         evaluations += n * n
         pressure = float(-_PREF_PA * val)
         if prev is not None:

@@ -16,7 +16,10 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from filmcasimir.constants import E2_GAUSS, HBAR2_OVER_2ME as MU, HBAR_EVS
-from filmcasimir.dielectric import _PREF, TensorBuildError, _pair_block, build_tensor, eps_xx, eps_zz
+from filmcasimir import dielectric
+from filmcasimir.dielectric import (
+    _PREF, TensorBuildError, _pair_block, _pole_sum, build_tensor, eps_xx, eps_zz,
+)
 from filmcasimir.estructure import film_state
 from filmcasimir.lifshitz import force, quantized_slab, reference_slab
 from filmcasimir.materials import derive_bulk
@@ -192,6 +195,21 @@ def test_compiled_eps_zz_holds_at_any_frequency_and_relaxation(cs_iwm_table, xi,
     got = eps_zz(fast, xi)
     assert got >= 1.0
     assert abs(got / fsum_eps_zz(fast, xi) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_pole_sum_blocks_agree_bit_for_bit(cs_iwm_table, monkeypatch, rows):
+    # 10 frequencies in blocks of `rows`: every block full (1) or the last one partial (3)
+    t = cs_iwm_table.with_gamma(1e14)
+    xi = np.concatenate([[0.0], np.geomspace(1e12, 1e19, 9)])
+    s = (HBAR_EVS * xi) * (HBAR_EVS * (xi + t.gamma))
+    whole = _pole_sum(t, s)
+    assert dielectric._CHUNK >= s.size * t.de.size  # one block by default
+    monkeypatch.setattr(dielectric, "_CHUNK", rows * t.de.size)
+    blocked = _pole_sum(t, s)
+    assert np.array_equal(blocked, whole)
+    want = np.array([math.fsum(t.coef / (t.de**2 + x)) for x in s])
+    assert np.abs(blocked / want - 1.0).max() <= 1e-12
 
 
 def test_depleted_box_plasma_frequency(presets):
