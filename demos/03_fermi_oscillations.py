@@ -2,26 +2,26 @@
 
 Each time the film grows wide enough to bind one more subband the Fermi
 level dips, producing a sawtooth in EF(D)/EF_bulk with period pi/kF. The
-script sweeps the scaled width x = kF*D/pi, writes one CSV per model and
-plots the curves when matplotlib is importable.
+script sweeps the scaled width x = kF*D/pi with the library's EF_ratio
+sweep, which writes one CSV per model, reads the rows back and plots the
+curves when matplotlib is importable.
 """
 import argparse
 from pathlib import Path
 
 import numpy as np
 
-from filmcasimir.estructure import ef_ratio, film_state, write_fermi_ratio_csv
-from filmcasimir.materials import derive_bulk, material_table
+from filmcasimir.materials import material_table
+from filmcasimir.sweep import SweepPlan, run
+
+MODELS = ("FWM", "IWM")
 
 
-def sweep(material, model, x_grid):
-    bulk = derive_bulk(material)
-    rows = []
-    for x in x_grid:
-        d = float(x) * np.pi / bulk.kF_bulk
-        st = film_state(material, model, d)
-        rows.append((d, x, ef_ratio(st, bulk), st.m0))
-    return rows
+def read_rows(path):
+    """CSV rows (D, kF*D/pi, EF/EF_bulk, m0) as written by the sweep."""
+    lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+    return [(float(d), float(x), float(r), int(m0))
+            for d, x, r, m0 in (ln.split(",") for ln in lines[1:])]
 
 
 def main():
@@ -30,17 +30,16 @@ def main():
     ap.add_argument("--outdir", default="demo_out", type=Path)
     ap.add_argument("--points", default=220, type=int)
     args = ap.parse_args()
-    args.outdir.mkdir(parents=True, exist_ok=True)
 
     mat = material_table()[args.material]
-    x_grid = np.linspace(0.6, 8.0, args.points)
+    x_grid = tuple(float(x) for x in np.linspace(0.6, 8.0, args.points))
+    report = run(SweepPlan("EF_ratio", (mat,), MODELS, output_dir=str(args.outdir),
+                           x_grid=x_grid, tag="fermi"))
+    if report.failures:
+        raise SystemExit("\n".join(report.failures))
     curves = {}
-    for model in ("FWM", "IWM"):
-        rows = sweep(mat, model, x_grid)
-        curves[model] = rows
-        out = args.outdir / f"fermi_ratio_{args.material}_{model}.csv"
-        with open(out, "w") as fh:
-            write_fermi_ratio_csv(fh, args.material, model, rows)
+    for model, out in zip(MODELS, report.files):
+        rows = curves[model] = read_rows(out)
         peak = max(r[2] for r in rows)
         print(f"{model}: peak EF/EF_bulk = {peak:.4f}, "
               f"{rows[-1][3]} subbands at x = {x_grid[-1]:.1f}  -> {out}")

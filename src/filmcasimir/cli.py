@@ -35,7 +35,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="comma separated material names overriding the preset set")
     fig.add_argument("--points", type=int, default=None, help="override the grid size")
     fig.add_argument("--tol", type=float, default=1e-7, help="relative force tolerance")
-    fig.add_argument("--workers", type=int, default=1, help="parallel worker processes")
     fig.add_argument("--materials-config", default=None,
                      help="JSON file with extra material definitions")
 
@@ -117,7 +116,7 @@ def _cmd_figure(args) -> int:
     outdir = args.outdir or os.environ.get(_OUTDIR_ENV, ".")
     try:
         plan = figure_plan(args.figure, tuple(table[n] for n in names), output_dir=outdir,
-                           n_points=args.points, force_tol=args.tol, workers=args.workers)
+                           n_points=args.points, force_tol=args.tol)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

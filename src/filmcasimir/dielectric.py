@@ -181,10 +181,10 @@ def _s_ev2(xi, gamma: float) -> np.ndarray:
 
 
 def eps_xx(tensor: DielectricTensor, xi):
-    """In-plane permittivity at imaginary frequency xi > 0 (rad/s)."""
+    """In-plane permittivity at finite imaginary frequency xi > 0 (rad/s)."""
     xi_arr = np.asarray(xi, dtype=float)
-    if (xi_arr <= 0.0).any():
-        raise ValueError("eps_xx requires xi > 0 (it diverges at xi = 0)")
+    if not (xi_arr.min(initial=math.inf) > 0.0 and xi_arr.max(initial=0.0) < math.inf):
+        raise ValueError("eps_xx requires finite xi > 0 (it diverges at xi = 0)")
     out = 1.0 + tensor.hw_p2 / _s_ev2(xi_arr, tensor.gamma)
     return out if np.ndim(xi) else float(out)
 
@@ -210,14 +210,14 @@ def _pole_sum(tensor: DielectricTensor, s: np.ndarray) -> np.ndarray:
 
 
 def eps_zz(tensor: DielectricTensor, xi):
-    """Out-of-plane permittivity at imaginary frequency xi >= 0 (rad/s).
+    """Out-of-plane permittivity at finite imaginary frequency xi >= 0 (rad/s).
 
     Finite at xi = 0 unless the table holds a dE = 0 pole (the bulk
     reference), which raises ValueError there.
     """
     xi_flat = np.asarray(xi, dtype=float).ravel()
-    if (xi_flat < 0.0).any():
-        raise ValueError("eps_zz requires xi >= 0")
+    if not (xi_flat.min(initial=math.inf) >= 0.0 and xi_flat.max(initial=0.0) < math.inf):
+        raise ValueError("eps_zz requires finite xi >= 0")
     s = _s_ev2(xi_flat, tensor.gamma)
     if not s.all() and not tensor.de.all():
         raise ValueError("eps_zz diverges at xi = 0 for a table with a dE = 0 pole")

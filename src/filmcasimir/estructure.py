@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TextIO
 
 import numpy as np
 
@@ -184,11 +183,3 @@ def ef_ratio(state: FilmElectronicState, bulk: BulkReference) -> float:
     """Fermi level over its bulk value, both from the well bottom."""
     return state.ef_well_bottom / bulk.EF_bulk
 
-
-def write_fermi_ratio_csv(fh: TextIO, material_name: str, model_name: str, rows) -> None:
-    """Fermi-level ratio curve; rows of (D, kF*D/pi, EF/EF_bulk, m0)."""
-    fh.write(f"# Fermi level of a {material_name} film, {model_name} confinement\n")
-    fh.write("# columns: D [nm], kF*D/pi, EF/EF_bulk, occupied subbands\n")
-    fh.write("D_nm,kFD_over_pi,EF_over_EFB,m0\n")
-    for d, x, r, m0 in rows:
-        fh.write(f"{float(d)!r},{float(x)!r},{float(r)!r},{int(m0)}\n")

@@ -5,14 +5,14 @@ A SweepPlan fixes one quantity and the grids; ``run`` writes one CSV per
 computed in a fixed order, so re-running an identical plan reproduces the
 CSV bodies byte for byte.  Point failures are recorded in the manifest and
 the sweep continues.  For the force quantities the manifest also carries one
-``optics=`` line per quantized film: its pair count and the share of the
-oscillator sum rule its pole table holds.
+``optics=`` line per film (material, model, D): its pair count and the share
+of the oscillator sum rule its pole table holds.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -21,10 +21,10 @@ import numpy as np
 from . import __version__
 from .dielectric import build_tensor, eps_zz
 from .estructure import ef_ratio, film_state
-from .lifshitz import force, quantized_slab, reference_slab
+from .lifshitz import SlabOptics, force, reference_slab
 from .materials import Material, derive_bulk
 
-QUANTITIES = ("EF_ratio", "eps_zz0", "delta_P", "delta_D", "force")
+QUANTITIES = ("EF_ratio", "eps_zz0", "delta_P", "delta_D")
 MODELS = ("FWM", "IWM", "PBM")
 
 
@@ -48,6 +48,7 @@ class SweepPlan:
     gammas: tuple[float, ...] | None = (0.0,)
     force_tol: float = 1e-7
     tag: str = ""
+    # sweeps run in one process; the field goes once the benchmark stops passing workers=1
     workers: int = 1
 
     def validate(self) -> None:
@@ -72,8 +73,16 @@ class SweepPlan:
             raise ValueError("relaxation frequencies must be finite and >= 0")
         if not 0.0 < self.force_tol < math.inf:
             raise ValueError("force_tol must be positive and finite")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        if self.workers != 1:
+            raise ValueError(f"sweeps run in one process, got workers={self.workers}")
+        written: dict[str, str] = {}  # file name -> the group that writes it
+        for m, model in itertools.product(self.materials, self.models):
+            for g in _resolved_gammas(self, m):
+                key, group = _group_key(self, m, model, g), f"{m.name} {model}"
+                group += f" gamma={g!r}" if self.quantity == "delta_D" else ""
+                if key in written:
+                    raise ValueError(f"{written[key]} and {group} would both write {key}.csv")
+                written[key] = group
 
 
 def _check_grid(name: str, grid: tuple[float, ...]) -> None:
@@ -101,71 +110,81 @@ def _resolved_gammas(plan: SweepPlan, material: Material) -> tuple[float, ...]:
 
 
 def _group_key(plan: SweepPlan, material: Material, model: str, gamma: float) -> str:
-    parts = [plan.tag or plan.quantity]
-    if plan.tag:
-        parts.append(plan.quantity)
+    parts = [plan.tag, plan.quantity] if plan.tag else [plan.quantity]
     parts += [material.name, model]
     if plan.quantity == "delta_D":
         parts.append(f"gamma{gamma:.6g}")
     return "_".join(parts)
 
 
-def _group_rows(plan: SweepPlan, material: Material, model: str, gamma: float):
-    """Rows, failure notes and film optics notes for one output file; importable for workers."""
+def _film_rows(plan: SweepPlan, material: Material, model: str, failures: list[str]):
+    """EF_ratio or eps_zz0 rows of one model, one film per x."""
     rows: list[tuple] = []
-    failures: list[str] = []
-    optics: list[str] = []
     bulk = derive_bulk(material)
-    if plan.quantity in ("EF_ratio", "eps_zz0"):
-        for x in plan.x_grid:
-            d_film = x * math.pi / bulk.kF_bulk
+    for x in plan.x_grid:
+        d_film = x * math.pi / bulk.kF_bulk
+        try:
+            state = film_state(material, model, d_film)
+            if plan.quantity == "EF_ratio":
+                rows.append((d_film, x, ef_ratio(state, bulk), state.m0))
+            else:
+                e0 = eps_zz(build_tensor(state), 0.0)
+                rows.append((d_film, x, e0, e0 / d_film**2))
+        except Exception as exc:  # noqa: BLE001 - recorded, sweep continues
+            failures.append(f"{material.name} {model} D={d_film!r}: {exc}")
+    return rows
+
+
+def _reduction_rows(plan: SweepPlan, material: Material, failures: list[str],
+                    optics: list[str]) -> dict[tuple[str, float], list[tuple]]:
+    """delta rows of one material by (model, gamma), D outer and ell inner.
+
+    Each film is built once and reaches every gamma by ``with_gamma``; each
+    reference force is computed once per (D, gamma, ell) for all models.
+    """
+    gammas = _resolved_gammas(plan, material)
+    rows = {(model, gamma): [] for model in plan.models for gamma in gammas}
+    for d_film in plan.D_grid:
+        refs: dict[tuple[float, float], object] = {}  # a ForceResult or the exception
+        for gamma, ell in itertools.product(gammas, plan.ell_grid):
+            try:
+                slab_ref = reference_slab(material, d_film, gamma)
+                refs[gamma, ell] = force(slab_ref, ell, tol=plan.force_tol)
+            except Exception as exc:  # noqa: BLE001 - noted once per model below
+                refs[gamma, ell] = exc
+        for model in plan.models:
+            film = f"{material.name} {model} D={d_film!r}"
             try:
                 state = film_state(material, model, d_film)
-                if plan.quantity == "EF_ratio":
-                    rows.append((d_film, x, ef_ratio(state, bulk), state.m0))
-                else:
-                    e0 = eps_zz(build_tensor(state), 0.0)
-                    rows.append((d_film, x, e0, e0 / d_film**2))
-            except Exception as exc:  # noqa: BLE001 - recorded, sweep continues
-                failures.append(f"{material.name} {model} D={d_film!r}: {exc}")
-        return rows, failures, optics
-
-    for d_film in plan.D_grid:
-        try:
-            slab_q = quantized_slab(material, model, d_film, gamma)
-            slab_ref = reference_slab(material, d_film, gamma)
-        except Exception as exc:  # noqa: BLE001
-            failures.append(f"{material.name} {model} D={d_film!r} gamma={gamma!r}: {exc}")
-            continue
-        t = slab_q.tensor
-        optics.append(f"{material.name} {model} D={d_film!r} gamma={gamma!r} pairs={t.de.size} "
-                      f"sum_rule_completeness={t.sum_rule_completeness:.6g}")
-        for ell in plan.ell_grid:
-            try:
-                f_q = force(slab_q, ell, tol=plan.force_tol)
-                if plan.quantity == "force":
-                    rows.append((d_film, ell, f_q.pressure, f_q.abs_error_estimate, f_q.evaluations))
-                    continue
-                f_ref = force(slab_ref, ell, tol=plan.force_tol)
-                delta = (f_ref.pressure - f_q.pressure) / f_ref.pressure
-                rows.append((d_film, ell, gamma, f_ref.pressure, f_q.pressure, delta))
+                tensor = build_tensor(state)
             except Exception as exc:  # noqa: BLE001
-                failures.append(
-                    f"{material.name} {model} D={d_film!r} ell={ell!r} gamma={gamma!r}: {exc}")
-    return rows, failures, optics
+                failures.append(f"{film}: {exc}")
+                continue
+            optics.append(f"{film} pairs={tensor.de.size} "
+                          f"sum_rule_completeness={tensor.sum_rule_completeness:.6g}")
+            slabs = {gamma: SlabOptics(tensor.with_gamma(gamma), state.spectrum.D)
+                     for gamma in gammas}
+            for gamma, ell in itertools.product(gammas, plan.ell_grid):
+                try:
+                    f_q = force(slabs[gamma], ell, tol=plan.force_tol)
+                    f_ref = refs[gamma, ell]
+                    if isinstance(f_ref, Exception):
+                        raise f_ref
+                    rows[model, gamma].append((d_film, ell, gamma, f_ref.pressure, f_q.pressure,
+                                               (f_ref.pressure - f_q.pressure) / f_ref.pressure))
+                except Exception as exc:  # noqa: BLE001
+                    failures.append(f"{film} ell={ell!r} gamma={gamma!r}: {exc}")
+    return rows
 
 
+_DELTA_HEADER = "D_nm,ell_nm,gamma_rad_s,F_reference_Pa,F_quantized_Pa,delta"
 _HEADERS = {
     "EF_ratio": ("D_nm,kFD_over_pi,EF_over_EFB,m0",
                  "Fermi level over its bulk value, from the well bottom"),
     "eps_zz0": ("D_nm,kFD_over_pi,eps_zz0,eps_zz0_over_D2",
                 "static out-of-plane permittivity"),
-    "delta_P": ("D_nm,ell_nm,gamma_rad_s,F_reference_Pa,F_quantized_Pa,delta",
-                "relative force reduction, dissipationless response"),
-    "delta_D": ("D_nm,ell_nm,gamma_rad_s,F_reference_Pa,F_quantized_Pa,delta",
-                "relative force reduction with Drude relaxation"),
-    "force": ("D_nm,ell_nm,pressure_Pa,abs_error_Pa,evaluations",
-              "Casimir pressure of the quantized film"),
+    "delta_P": (_DELTA_HEADER, "relative force reduction, dissipationless response"),
+    "delta_D": (_DELTA_HEADER, "relative force reduction with Drude relaxation"),
 }
 
 
@@ -185,32 +204,23 @@ def _write_group_csv(path: Path, plan: SweepPlan, material: Material, model: str
 
 
 def run(plan: SweepPlan) -> RunReport:
-    """Execute the plan; returns the written files and recorded failures."""
+    """Execute the plan in this process; returns the written files and recorded failures."""
     plan.validate()
     t0 = time.perf_counter()
     out = Path(plan.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    groups = [(material, model, gamma)
-              for material in plan.materials
-              for model in plan.models
-              for gamma in _resolved_gammas(plan, material)]
-
-    if plan.workers > 1:
-        with ProcessPoolExecutor(max_workers=plan.workers) as pool:
-            results = list(pool.map(_group_rows, *zip(*[(plan, m, mod, g) for m, mod, g in groups])))
-    else:
-        results = [_group_rows(plan, m, mod, g) for m, mod, g in groups]
-
     files: list[Path] = []
     failures: list[str] = []
     optics: list[str] = []
-    for (material, model, gamma), (rows, fails, notes) in zip(groups, results):
-        path = out / f"{_group_key(plan, material, model, gamma)}.csv"
-        _write_group_csv(path, plan, material, model, gamma, rows)
-        files.append(path)
-        failures.extend(fails)
-        optics.extend(notes)
+    for material in plan.materials:
+        groups = ({(model, 0.0): _film_rows(plan, material, model, failures)
+                   for model in plan.models} if plan.quantity in ("EF_ratio", "eps_zz0")
+                  else _reduction_rows(plan, material, failures, optics))
+        for (model, gamma), rows in groups.items():
+            path = out / f"{_group_key(plan, material, model, gamma)}.csv"
+            _write_group_csv(path, plan, material, model, gamma, rows)
+            files.append(path)
 
     wall = time.perf_counter() - t0
     manifest = out / f"{plan.tag or plan.quantity}_manifest.txt"
@@ -225,7 +235,6 @@ def run(plan: SweepPlan) -> RunReport:
         gam = "presets" if plan.gammas is None else ",".join(repr(float(v)) for v in plan.gammas)
         fh.write(f"gammas={gam}\n")
         fh.write(f"force_tol={plan.force_tol!r}\n")
-        fh.write(f"workers={plan.workers}\n")
         fh.write(f"files={len(files)}\n")
         fh.write(f"failures={len(failures)}\n")
         fh.write(f"wall_time_s={wall:.3f}\n")

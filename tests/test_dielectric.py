@@ -315,6 +315,13 @@ def test_argument_validation(presets):
         eps_xx(t, 0.0)
     with pytest.raises(ValueError):
         eps_zz(t, -1.0)
+    # non-finite frequencies would give nan, or 1.0 at inf; both are rejected
+    for bad in (math.nan, math.inf, -math.inf):
+        for eps in (eps_xx, eps_zz):
+            with pytest.raises(ValueError, match="finite"):
+                eps(t, bad)
+            with pytest.raises(ValueError, match="finite"):
+                eps(t, np.array([1e15, bad]))
     # the bulk reference's dE = 0 pole diverges at xi = 0, as eps_xx does
     drude = reference_slab(presets["Cs"], 1.0).tensor
     with pytest.raises(ValueError, match="xi = 0"):

@@ -6,7 +6,6 @@ independently of the library's subband-counting loop.  The enlarged box
 width is checked the same way: the areal density of a d-wide box filled to
 the bulk Fermi level is continuous and increasing in d.
 """
-import io
 import math
 
 import numpy as np
@@ -21,7 +20,6 @@ from filmcasimir.estructure import (
     fermi_level,
     film_state,
     pbm_box_width,
-    write_fermi_ratio_csv,
 )
 from filmcasimir.materials import BulkReference, Material, derive_bulk
 from filmcasimir.qwell import InfiniteWell, solve_spectrum
@@ -290,12 +288,3 @@ def test_fermi_level_validation(presets):
         with pytest.raises(ValueError, match="ion density"):
             fermi_level(sp, n0)
 
-
-# ----------------------------------------------------------------- csv
-
-
-def test_csv_emitters_round_trip(presets):
-    buf = io.StringIO()
-    write_fermi_ratio_csv(buf, "Cs", "FWM", [(1.0, 2.05, 1.11, 2)])
-    body = [ln for ln in buf.getvalue().splitlines() if not ln.startswith("#")]
-    assert body[1].split(",")[3] == "2"
