@@ -20,7 +20,6 @@ from .estructure import (
 from .lifshitz import (
     ForceConvergenceError,
     ForceResult,
-    SlabOptics,
     delta_D,
     delta_P,
     force,
@@ -60,7 +59,7 @@ __all__ = [
     "CapacityError", "FilmElectronicState", "electron_density", "fermi_level",
     "film_state", "pbm_box_width",
     "DielectricTensor", "build_tensor", "eps_xx", "eps_zz",
-    "ForceConvergenceError", "ForceResult", "SlabOptics", "delta_D", "delta_P",
+    "ForceConvergenceError", "ForceResult", "delta_D", "delta_P",
     "force", "force_pair", "ideal_mirror_pressure", "isotropic_slab", "q_factors",
     "quantized_slab", "reference_slab",
     "FIGURES", "RunReport", "SweepPlan", "figure_plan", "run",

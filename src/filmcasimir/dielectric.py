@@ -14,13 +14,15 @@ substitution omega^2 -> omega(omega + i gamma), i.e. xi^2 -> xi(xi+gamma).
 
 The bulk plasma/Drude reference 1 + Omega_P^2/(xi(xi+gamma)) is the same
 pole sum with a single pole at dE = 0 and weight (hbar Omega_P)^2
-(``drude_tensor``), so one DielectricTensor record and one pair of
+(``isotropic_slab``), so one DielectricTensor record and one pair of
 functions, eps_xx and eps_zz, serve both the quantized film and its
-continuum reference.  eps_zz is always the exact pole sum: the force
-quadrature needs it only at one frequency node per row of its rule.
+continuum reference.  The record also carries the film thickness D, so it
+is all the Lifshitz force needs of a film.  eps_zz is always the exact pole
+sum: the force quadrature needs it only at one frequency node per row of
+its rule.
 
 The unbounded hard-wall ladders (IWM, PBM) are cut once a partner block adds
-at most table_tol of the static sum.  Their oscillator weight is the full
+at most _TABLE_TOL of the static sum.  Their oscillator weight is the full
 sum-rule value (hbar omega_P)^2: the hard-wall basis is complete, so no
 partner past the table has to be summed.
 """
@@ -40,6 +42,7 @@ from .qwell import FiniteWell, WellSpectrum
 _PREF = 32.0 * math.pi * E2_GAUSS * MU * MU
 
 _LEVEL_CAP = 400_000
+_TABLE_TOL = 1e-13  # share of the static sum below which a partner block is dropped
 _CHUNK = 1 << 16  # max elements of one (xi, pair) block: 512 kB, cache-sized
 
 
@@ -49,9 +52,10 @@ class TensorBuildError(RuntimeError):
 
 @dataclass(frozen=True)
 class DielectricTensor:
-    """Pole table and plasma weight of one film at one relaxation rate.
+    """Pole table, plasma weight and thickness of one film at one relaxation rate.
 
-    Plain data: it pickles, and ``eps_xx``/``eps_zz`` evaluate it.
+    Plain data: it pickles, ``eps_xx``/``eps_zz`` evaluate it and
+    ``lifshitz.force`` takes it as the film.
     """
 
     gamma: float              # rad/s
@@ -60,10 +64,13 @@ class DielectricTensor:
     de: np.ndarray            # transition energies E_m - E_n >= 0, eV
     coef: np.ndarray          # pole weights c_p, eV^2
     osc_weight: float         # hbar^2 * oscillator plasma weight, eV^2
+    D: float                  # film (ion slab) thickness, nm
 
     def __post_init__(self):
         if not 0.0 <= self.gamma < math.inf:
             raise ValueError(f"relaxation frequency must be finite and >= 0, got {self.gamma}")
+        if not 0.0 < self.D < math.inf:
+            raise ValueError(f"film thickness must be positive and finite, got {self.D}")
         object.__setattr__(self, "gamma", float(self.gamma))
 
     @property
@@ -103,16 +110,15 @@ def _pair_block(spectrum: WellSpectrum, weights: np.ndarray, j_lo: int, j_hi: in
     return de, _PREF * i_nm**2 * (weights[i - 1] - w_j) / d_norm
 
 
-def build_tensor(state: FilmElectronicState, gamma: float = 0.0,
-                 table_tol: float = 1e-13) -> DielectricTensor:
-    """Assemble the dielectric tensor of a film state.
+def build_tensor(state: FilmElectronicState) -> DielectricTensor:
+    """Assemble the undamped dielectric tensor of a film state.
 
     The in-plane plasma frequency follows the mean electron density n_avg
     of the normalization slab as Omega_P*sqrt(n_avg/n0).
 
     A finite well pairs its occupied levels with every bound level.  A hard
     wall's ladder is unbounded: partners are added in doubling blocks until
-    a block adds at most ``table_tol`` of the static sum sum_p c_p/dE_p^2;
+    a block adds at most ``_TABLE_TOL`` of the static sum sum_p c_p/dE_p^2;
     that block is left out of the table.  The full oscillator weight of a
     hard wall is (hbar omega_P)^2 by the Thomas-Reiche-Kuhn sum rule, so
     ``osc_weight`` needs no sum over the ladder.
@@ -142,7 +148,7 @@ def build_tensor(state: FilmElectronicState, gamma: float = 0.0,
             spectrum = spectrum.extended(j_hi)
             de_b, num_b = _pair_block(spectrum, weights, j_lo, j_hi, d_norm)
             static_b = float(np.sum(num_b / de_b**3))
-            if static_b <= table_tol * static:
+            if static_b <= _TABLE_TOL * static:
                 break
             keep_de.append(de_b)
             keep_num.append(num_b)
@@ -157,21 +163,22 @@ def build_tensor(state: FilmElectronicState, gamma: float = 0.0,
         coef = num / de if de.size else num
     de.setflags(write=False)
     coef.setflags(write=False)
-    return DielectricTensor(gamma=gamma, hw_p2=hw_p2, d_norm=d_norm, de=de, coef=coef,
-                            osc_weight=osc_weight)
+    return DielectricTensor(gamma=0.0, hw_p2=hw_p2, d_norm=d_norm, de=de, coef=coef,
+                            osc_weight=osc_weight, D=state.spectrum.D)
 
 
-def drude_tensor(bulk: BulkReference, gamma: float, d_norm: float) -> DielectricTensor:
-    """Bulk plasma/Drude response 1 + Omega_P^2/(xi(xi+gamma)) in both directions.
+def isotropic_slab(bulk: BulkReference, gamma: float, D: float) -> DielectricTensor:
+    """Reference film of thickness D with the bulk plasma/Drude response.
 
-    It is the pole sum with one pole at dE = 0 and weight (hbar Omega_P)^2.
+    1 + Omega_P^2/(xi(xi+gamma)) in both directions is the pole sum with one
+    pole at dE = 0 and weight (hbar Omega_P)^2.
     """
     hw2 = (HBAR_EVS * bulk.Omega_P) ** 2
     de, coef = np.zeros(1), np.full(1, hw2)
     de.setflags(write=False)
     coef.setflags(write=False)
-    return DielectricTensor(gamma=gamma, hw_p2=hw2, d_norm=d_norm, de=de, coef=coef,
-                            osc_weight=hw2)
+    return DielectricTensor(gamma=gamma, hw_p2=hw2, d_norm=D, de=de, coef=coef,
+                            osc_weight=hw2, D=D)
 
 
 def _s_ev2(xi, gamma: float) -> np.ndarray:

@@ -56,7 +56,7 @@ class FilmElectronicState:
         return self.areal_density / self.spectrum.D
 
 
-def fermi_level(spectrum: WellSpectrum, n0: float, D: float | None = None) -> FilmElectronicState:
+def fermi_level(spectrum: WellSpectrum, n0: float) -> FilmElectronicState:
     """Fill the spectrum with n0*D electrons per unit area (aufbau).
 
     For each candidate count m0 the neutrality condition has the closed form
@@ -65,11 +65,7 @@ def fermi_level(spectrum: WellSpectrum, n0: float, D: float | None = None) -> Fi
     """
     if not 0.0 < n0 < math.inf:
         raise ValueError(f"ion density must be positive and finite, got {n0}")
-    if D is None:
-        D = spectrum.D
-    elif D != spectrum.D:
-        raise ValueError(f"thickness {D} nm does not match the spectrum ({spectrum.D} nm)")
-    target = n0 * D  # nm^-2
+    target = n0 * spectrum.D  # nm^-2
 
     m0 = 0
     acc = 0.0

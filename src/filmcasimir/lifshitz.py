@@ -22,10 +22,11 @@ xi = xi0 t/(1-t), k = k0 u/(1-u).  They cross-check each other in tests, and
 both, like ``q_factors``, go through one reflection core that takes
 (k^2, zeta, eps_xx, eps_zz).
 
-A film enters as SlabOptics, plain data: its DielectricTensor and its
-thickness.  The quantized film carries the intersubband pole table; the bulk
-reference carries the plasma/Drude response as the tensor's single pole at
-zero transition energy, so both go through the same eps_xx and eps_zz.
+A film enters as its DielectricTensor, plain data that carries the film
+thickness D with the response.  The quantized film carries the intersubband
+pole table; the bulk reference (``isotropic_slab``) carries the plasma/Drude
+response as the tensor's single pole at zero transition energy, so both go
+through the same eps_xx and eps_zz.
 """
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
 from .constants import C_NM_S, HBAR_JS
-from .dielectric import DielectricTensor, build_tensor, drude_tensor, eps_xx, eps_zz
+from .dielectric import DielectricTensor, build_tensor, eps_xx, eps_zz, isotropic_slab
 from .estructure import film_state
 from .materials import Material, derive_bulk
 
@@ -49,14 +50,7 @@ _ORDERS = (32, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024)
 # temporaries stay small and in cache instead of n*n arrays that are mapped
 # and page-faulted afresh at every order
 _BLOCK = 16384
-
-
-@dataclass(frozen=True)
-class SlabOptics:
-    """Dielectric tensor and thickness of one film, ready for the integrand."""
-
-    tensor: DielectricTensor
-    D: float                # nm
+_QUAD_LIMIT = 200  # subintervals of each adaptive quadpack rule
 
 
 @dataclass(frozen=True)
@@ -72,13 +66,6 @@ class ForceConvergenceError(RuntimeError):
     def __init__(self, message: str, partial: ForceResult):
         super().__init__(message)
         self.partial = partial
-
-
-def isotropic_slab(bulk, gamma: float, D: float) -> SlabOptics:
-    """Reference film with the bulk free-electron response in both directions."""
-    if not 0.0 < D < math.inf:
-        raise ValueError(f"film thickness must be positive and finite, got {D}")
-    return SlabOptics(drude_tensor(bulk, gamma, D), D)
 
 
 def _ln_q(a, b, g_slab, g0, D, ell):
@@ -117,12 +104,12 @@ def _ln_q_both(k2, zeta, exx, ezz, D: float, ell: float):
     return ln_tm, sign_tm, ln_te, sign_te
 
 
-def q_factors(slab: SlabOptics, k: float, xi: float, ell: float) -> tuple[float, float]:
+def q_factors(tensor: DielectricTensor, k: float, xi: float, ell: float) -> tuple[float, float]:
     """Signed reflection factors (Q_TM, Q_TE) entering the pressure integrand."""
     if not (0.0 <= k < math.inf and 0.0 < xi < math.inf and 0.0 < ell < math.inf):
         raise ValueError(f"need finite k >= 0, xi > 0 and ell > 0, got {k}, {xi}, {ell}")
-    ln_tm, s_tm, ln_te, s_te = _ln_q_both(k * k, xi / C_NM_S, eps_xx(slab.tensor, xi),
-                                          eps_zz(slab.tensor, xi), slab.D, ell)
+    ln_tm, s_tm, ln_te, s_te = _ln_q_both(k * k, xi / C_NM_S, eps_xx(tensor, xi),
+                                          eps_zz(tensor, xi), tensor.D, ell)
     return float(s_tm * np.exp(ln_tm)), float(s_te * np.exp(ln_te))
 
 
@@ -136,8 +123,7 @@ def _r_sum(k2, zeta, exx, ezz, D: float, ell: float):
     return out
 
 
-def _force_legendre(slab: SlabOptics, ell: float, tol: float, max_order: int) -> ForceResult:
-    tensor = slab.tensor
+def _force_legendre(tensor: DielectricTensor, ell: float, tol: float) -> ForceResult:
     h_scale = 1.5 / ell  # inner nodes straddle the exp(-2 g0 ell) support
     z_scale = min(h_scale, tensor.omega_P / C_NM_S) if tensor.omega_P > 0.0 else h_scale
     prev = None
@@ -145,8 +131,6 @@ def _force_legendre(slab: SlabOptics, ell: float, tol: float, max_order: int) ->
     pressure = math.nan
     err = math.inf
     for n in _ORDERS:
-        if n > max_order:
-            break
         t, wt = _unit_nodes(n)
         u = t / (1.0 - t)
         w = wt / (1.0 - t) ** 2
@@ -158,7 +142,7 @@ def _force_legendre(slab: SlabOptics, ell: float, tol: float, max_order: int) ->
         for a in range(0, n, rows):
             z = zeta[a:a + rows, None]
             k2 = h * (h + 2.0 * z)  # g0^2 - zeta^2 without cancellation
-            r = _r_sum(k2, z, exx[a:a + rows, None], ezz[a:a + rows, None], slab.D, ell)
+            r = _r_sum(k2, z, exx[a:a + rows, None], ezz[a:a + rows, None], tensor.D, ell)
             integ[a:a + rows] = (k2 + z * z) * r
         val = z_scale * h_scale * (w_z @ integ @ w)
         evaluations += n * n
@@ -169,13 +153,12 @@ def _force_legendre(slab: SlabOptics, ell: float, tol: float, max_order: int) ->
                 return ForceResult(pressure, err, evaluations)
         prev = pressure
     raise ForceConvergenceError(
-        f"pressure not converged to {tol:g} at order {max_order} (ell={ell} nm)",
+        f"pressure not converged to {tol:g} at order {_ORDERS[-1]} (ell={ell} nm)",
         ForceResult(pressure, err, evaluations),
     )
 
 
-def _force_quadpack(slab: SlabOptics, ell: float, tol: float, limit: int = 200) -> ForceResult:
-    tensor = slab.tensor
+def _force_quadpack(tensor: DielectricTensor, ell: float, tol: float) -> ForceResult:
     zeta0 = max(tensor.omega_P / C_NM_S, 1.0 / ell)
     k0 = 1.0 / ell
     inner_rel = max(tol / 10.0, 1e-13)
@@ -189,15 +172,15 @@ def _force_quadpack(slab: SlabOptics, ell: float, tol: float, limit: int = 200) 
             zeta = zeta0 * t / (1.0 - t)
             xi = zeta * C_NM_S
             g0 = math.hypot(k, zeta)
-            r = _r_sum(k * k, zeta, eps_xx(tensor, xi), eps_zz(tensor, xi), slab.D, ell)
+            r = _r_sum(k * k, zeta, eps_xx(tensor, xi), eps_zz(tensor, xi), tensor.D, ell)
             return float(r) * g0 * zeta0 / (1.0 - t) ** 2
 
-        val, _ = quad(inner, 0.0, 1.0, epsabs=0.0, epsrel=inner_rel, limit=limit)
+        val, _ = quad(inner, 0.0, 1.0, epsabs=0.0, epsrel=inner_rel, limit=_QUAD_LIMIT)
         return k * val * k0 / (1.0 - u) ** 2
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
-        val, abserr = quad(outer, 0.0, 1.0, epsabs=0.0, epsrel=0.8 * tol, limit=limit)
+        val, abserr = quad(outer, 0.0, 1.0, epsabs=0.0, epsrel=0.8 * tol, limit=_QUAD_LIMIT)
     pressure = -_PREF_PA * val
     err = _PREF_PA * abserr + inner_rel * abs(pressure)
     if err > tol * abs(pressure) and pressure != 0.0:
@@ -219,21 +202,20 @@ def _unit_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _NODE_CACHE[n]
 
 
-def force(slab: SlabOptics, ell: float, tol: float = 1e-6, engine: str = "legendre",
-          max_order: int = 1024) -> ForceResult:
-    """Casimir pressure (Pa, negative = attractive) between two copies of ``slab``.
+def force(tensor: DielectricTensor, ell: float, tol: float = 1e-6,
+          engine: str = "legendre") -> ForceResult:
+    """Casimir pressure (Pa, negative = attractive) between two copies of a film.
 
     Parameters
     ----------
-    slab : SlabOptics
+    tensor : DielectricTensor
+        The film: its response and its thickness ``tensor.D``.
     ell : float
         Vacuum gap between the facing surfaces, nm.
     tol : float
         Relative tolerance; on success abs_error_estimate <= tol*|pressure|.
     engine : str
         "legendre" (default) or "quadpack"; see the module docstring.
-    max_order : int
-        Highest legendre order tried; at least the first order, 32.
 
     Raises ForceConvergenceError (carrying the partial result) when the
     requested tolerance cannot be certified.
@@ -242,12 +224,10 @@ def force(slab: SlabOptics, ell: float, tol: float = 1e-6, engine: str = "legend
         raise ValueError(f"gap must be positive and finite, got {ell}")
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
-    if not max_order >= _ORDERS[0]:
-        raise ValueError(f"max_order must be at least {_ORDERS[0]}, got {max_order}")
     if engine == "legendre":
-        return _force_legendre(slab, ell, tol, max_order)
+        return _force_legendre(tensor, ell, tol)
     if engine == "quadpack":
-        return _force_quadpack(slab, ell, tol)
+        return _force_quadpack(tensor, ell, tol)
     raise ValueError(f"unknown engine {engine!r} (expected 'legendre' or 'quadpack')")
 
 
@@ -256,14 +236,14 @@ def ideal_mirror_pressure(ell: float) -> float:
     return -math.pi**2 / 240.0 * HBAR_JS * C_NM_S * 1e27 / ell**4
 
 
-def quantized_slab(material: Material, model: str, D: float, gamma: float = 0.0) -> SlabOptics:
-    """Film optics from the size-quantized dielectric tensor."""
-    state = film_state(material, model, D)
-    return SlabOptics(build_tensor(state, gamma=gamma), state.spectrum.D)
+def quantized_slab(material: Material, model: str, D: float,
+                   gamma: float = 0.0) -> DielectricTensor:
+    """Size-quantized dielectric tensor of a film at relaxation rate gamma."""
+    return build_tensor(film_state(material, model, D)).with_gamma(gamma)
 
 
-def reference_slab(material: Material, D: float, gamma: float = 0.0) -> SlabOptics:
-    """Film optics of the same slab with the bulk isotropic response."""
+def reference_slab(material: Material, D: float, gamma: float = 0.0) -> DielectricTensor:
+    """The same slab with the bulk isotropic response."""
     return isotropic_slab(derive_bulk(material), gamma, D)
 
 

@@ -111,12 +111,20 @@ def load_materials(path: str | Path) -> dict[str, Material]:
         raise ValueError(f"{path}: expected a JSON list of material objects")
     table = {}
     for entry in raw:
-        mat = Material(
-            name=entry["name"],
-            rs_over_a0=float(entry["rs_over_a0"]),
-            work_function=float(entry["work_function"]),
-            relaxation_frequencies=tuple(entry.get("relaxation_frequencies", ())),
-        )
+        if not isinstance(entry, dict):
+            raise ValueError(f"{path}: expected a material object, got {entry!r}")
+        gammas = entry.get("relaxation_frequencies", [])
+        if not isinstance(gammas, list):
+            raise ValueError(f"{path}: relaxation_frequencies must be a list, got {gammas!r}")
+        try:
+            mat = Material(
+                name=entry["name"],
+                rs_over_a0=float(entry["rs_over_a0"]),
+                work_function=float(entry["work_function"]),
+                relaxation_frequencies=tuple(gammas),
+            )
+        except TypeError as exc:  # a null or nested value where a number belongs
+            raise ValueError(f"{path}: bad value in {entry!r}: {exc}") from exc
         table[mat.name] = mat
     return table
 

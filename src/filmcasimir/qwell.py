@@ -101,11 +101,6 @@ class WellSpectrum:
         # interior amplitude A_n; norm integral is D/2 + 1/kappa for both parities
         return 1.0 / np.sqrt(0.5 * self.D + 1.0 / self._fw_kappa)
 
-    def parity(self, n: int) -> int:
-        """+1 for even envelopes (n odd), -1 for odd ones."""
-        self._check_level(n)
-        return 1 if n % 2 == 1 else -1
-
     def _check_level(self, n: int):
         if not 1 <= n <= self.n_levels:
             raise IndexError(f"level {n} outside 1..{self.n_levels}")

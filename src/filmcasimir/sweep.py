@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .dielectric import build_tensor, eps_zz
 from .estructure import ef_ratio, film_state
-from .lifshitz import SlabOptics, force, reference_slab
+from .lifshitz import force, reference_slab
 from .materials import Material, derive_bulk
 
 QUANTITIES = ("EF_ratio", "eps_zz0", "delta_P", "delta_D")
@@ -155,18 +155,15 @@ def _reduction_rows(plan: SweepPlan, material: Material, failures: list[str],
         for model in plan.models:
             film = f"{material.name} {model} D={d_film!r}"
             try:
-                state = film_state(material, model, d_film)
-                tensor = build_tensor(state)
+                tensor = build_tensor(film_state(material, model, d_film))
             except Exception as exc:  # noqa: BLE001
                 failures.append(f"{film}: {exc}")
                 continue
             optics.append(f"{film} pairs={tensor.de.size} "
                           f"sum_rule_completeness={tensor.sum_rule_completeness:.6g}")
-            slabs = {gamma: SlabOptics(tensor.with_gamma(gamma), state.spectrum.D)
-                     for gamma in gammas}
             for gamma, ell in itertools.product(gammas, plan.ell_grid):
                 try:
-                    f_q = force(slabs[gamma], ell, tol=plan.force_tol)
+                    f_q = force(tensor.with_gamma(gamma), ell, tol=plan.force_tol)
                     f_ref = refs[gamma, ell]
                     if isinstance(f_ref, Exception):
                         raise f_ref

@@ -127,6 +127,20 @@ def test_unreadable_config_exits_two(capsys, tmp_path):
     assert "materials config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("payload", [
+    ["Na"],
+    [{"name": "Na", "rs_over_a0": 3.93, "work_function": 2.75,
+      "relaxation_frequencies": 5e13}],
+])
+def test_malformed_config_exits_two(capsys, tmp_path, payload):
+    cfg = tmp_path / "mats.json"
+    cfg.write_text(json.dumps(payload))
+    with pytest.raises(SystemExit) as exc:
+        main(["materials", "--materials-config", str(cfg)])
+    assert exc.value.code == 2
+    assert "materials config" in capsys.readouterr().err
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

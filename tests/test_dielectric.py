@@ -8,6 +8,7 @@ with weights w_i - w_j must agree identically on the same transition set.
 """
 import math
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from scipy.integrate import quad
 from filmcasimir.constants import E2_GAUSS, HBAR2_OVER_2ME as MU, HBAR_EVS
 from filmcasimir import dielectric
 from filmcasimir.dielectric import (
-    _PREF, TensorBuildError, _pair_block, _pole_sum, build_tensor, eps_xx, eps_zz,
+    _PREF, DielectricTensor, TensorBuildError, _pair_block, _pole_sum, build_tensor, eps_xx,
+    eps_zz,
 )
 from filmcasimir.estructure import film_state
 from filmcasimir.lifshitz import force, quantized_slab, reference_slab
@@ -44,7 +46,7 @@ def raw_hard_wall_eps(state, d_box: float, j_max: int, gamma: float, xi) -> floa
 @pytest.mark.parametrize("gamma", [0.0, 5e14])
 def test_hard_wall_table_matches_raw_double_sum(presets, gamma):
     st = film_state(presets["Cs"], "IWM", 2.0)
-    t = build_tensor(st, gamma=gamma)
+    t = build_tensor(st).with_gamma(gamma)
     for xi in XI_PROBE:
         # the raw sum converges like j^-8; growth past 4096 partners is the
         # fp accumulation floor, so compare with a matching absolute term
@@ -121,7 +123,7 @@ def test_in_plane_component_is_plasma_form(presets):
     xi = np.geomspace(1e13, 1e18, 7)
     for model in ("FWM", "IWM"):
         b = derive_bulk(presets["Ag"])
-        t = build_tensor(film_state(presets["Ag"], model, 1.5), gamma=1e14)
+        t = build_tensor(film_state(presets["Ag"], model, 1.5)).with_gamma(1e14)
         assert np.allclose(eps_xx(t, xi), drude_closed_form(b, 1e14, xi), rtol=1e-12)
         assert t.omega_P == pytest.approx(b.Omega_P, rel=1e-12)
 
@@ -132,7 +134,7 @@ def test_reference_is_the_zero_energy_drude_pole(presets, gamma):
     xi = np.geomspace(1e12, 1e19, 15)
     for name in ("Al", "Ag", "Cs"):
         want = drude_closed_form(derive_bulk(presets[name]), gamma, xi)
-        t = reference_slab(presets[name], 2.0, gamma).tensor
+        t = reference_slab(presets[name], 2.0, gamma)
         assert np.array_equal(eps_xx(t, xi), want)
         assert np.array_equal(eps_zz(t, xi), want)
         assert eps_zz(t, float(xi[3])) == want[3]
@@ -143,10 +145,32 @@ def test_optics_records_pickle_and_give_the_same_force(presets):
     for slab in (quantized_slab(presets["Cs"], "IWM", 1.0, 1e14),
                  reference_slab(presets["Cs"], 1.0, 1e14)):
         back = pickle.loads(pickle.dumps(slab))
-        assert back.D == slab.D and back.tensor.gamma == slab.tensor.gamma
-        assert np.array_equal(back.tensor.de, slab.tensor.de)
-        assert np.array_equal(back.tensor.coef, slab.tensor.coef)
+        assert back.D == slab.D and back.gamma == slab.gamma and back.d_norm == slab.d_norm
+        assert np.array_equal(back.de, slab.de)
+        assert np.array_equal(back.coef, slab.coef)
         assert force(back, 3.0, tol=1e-6) == force(slab, 3.0, tol=1e-6)
+
+
+@pytest.mark.parametrize("model", ["FWM", "IWM", "PBM"])
+def test_thickness_travels_with_the_tensor(presets, model):
+    for D in (1.0, 2.7, 5.0):
+        t = quantized_slab(presets["Al"], model, D, 1e14)
+        assert t.D == D
+        if model == "PBM":  # the box is wider than the ion slab
+            assert t.d_norm > D
+        assert t.with_gamma(0.0).D == D
+        assert pickle.loads(pickle.dumps(t)).D == D
+    assert reference_slab(presets["Al"], 2.7).D == 2.7
+
+
+@pytest.mark.parametrize("D", [0.0, -1.0, math.nan, math.inf])
+def test_tensor_rejects_a_bad_thickness(presets, D):
+    t = reference_slab(presets["Al"], 1.0)
+    with pytest.raises(ValueError, match="thickness"):
+        DielectricTensor(gamma=0.0, hw_p2=t.hw_p2, d_norm=1.0, de=t.de, coef=t.coef,
+                         osc_weight=t.osc_weight, D=D)
+    with pytest.raises(ValueError, match="thickness"):
+        replace(t, D=D)
 
 
 # xi = 0, then 1e6..1e24 rad/s: the static limit, the flat region far below
@@ -167,8 +191,8 @@ def test_compiled_eps_zz_matches_the_exact_pole_sum(presets, name, model):
     for D in (1.0, 5.0, 20.0):
         state = film_state(presets[name], model, D)
         for gamma in (0.0, presets[name].relaxation_frequencies[0]):
-            t = quantized_slab(presets[name], model, D, gamma).tensor
-            exact = build_tensor(state, gamma)
+            t = quantized_slab(presets[name], model, D, gamma)
+            exact = build_tensor(state).with_gamma(gamma)
             assert np.array_equal(t.de, exact.de) and np.array_equal(t.coef, exact.coef)
             got = eps_zz(t, XI_ORACLE)
             want = np.array([fsum_eps_zz(exact, xi) for xi in XI_ORACLE])
@@ -183,7 +207,7 @@ def test_compiled_eps_zz_matches_the_exact_pole_sum(presets, name, model):
 @pytest.fixture(scope="module")
 def cs_iwm_table(presets):
     """Compiled pole table of one Cs IWM film."""
-    return quantized_slab(presets["Cs"], "IWM", 5.0).tensor
+    return quantized_slab(presets["Cs"], "IWM", 5.0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -299,7 +323,7 @@ def test_isotropy_restored_for_thick_films(presets):
 
 
 def test_scalar_and_array_evaluation_agree(presets):
-    t = build_tensor(film_state(presets["Cs"], "IWM", 2.0), gamma=1e14)
+    t = build_tensor(film_state(presets["Cs"], "IWM", 2.0)).with_gamma(1e14)
     xi = np.geomspace(1e13, 1e17, 5)
     arr = eps_zz(t, xi)
     for i, x in enumerate(xi):
@@ -323,15 +347,13 @@ def test_argument_validation(presets):
             with pytest.raises(ValueError, match="finite"):
                 eps(t, np.array([1e15, bad]))
     # the bulk reference's dE = 0 pole diverges at xi = 0, as eps_xx does
-    drude = reference_slab(presets["Cs"], 1.0).tensor
+    drude = reference_slab(presets["Cs"], 1.0)
     with pytest.raises(ValueError, match="xi = 0"):
         eps_zz(drude, 0.0)
     with pytest.raises(ValueError, match="xi = 0"):
         eps_zz(drude, np.array([1e15, 0.0]))
     with pytest.raises(ValueError):
-        build_tensor(film_state(presets["Cs"], "IWM", 2.0), gamma=-1.0)
-    with pytest.raises(ValueError):
-        t.with_gamma(-2.0)
+        t.with_gamma(-1.0)
     with pytest.raises(ValueError):
         reference_slab(presets["Cs"], 1.0, gamma=-1.0)
 
@@ -340,17 +362,16 @@ def test_argument_validation(presets):
 def test_non_finite_relaxation_rejected(presets, gamma):
     st = film_state(presets["Al"], "FWM", 1.0)
     with pytest.raises(ValueError, match="relaxation"):
-        build_tensor(st, gamma=gamma)
-    with pytest.raises(ValueError, match="relaxation"):
         build_tensor(st).with_gamma(gamma)
     with pytest.raises(ValueError, match="relaxation"):
         reference_slab(presets["Al"], 1.0, gamma)
 
 
-def test_partner_cap_failure_is_loud(presets):
+def test_partner_cap_failure_is_loud(presets, monkeypatch):
     st = film_state(presets["Cs"], "IWM", 0.5)
+    monkeypatch.setattr(dielectric, "_TABLE_TOL", 0.0)
     with pytest.raises(TensorBuildError):
-        build_tensor(st, table_tol=0.0)
+        build_tensor(st)
 
 
 def pair_block_by_rows(spectrum, weights, j_lo, j_hi, d_norm):

@@ -142,6 +142,15 @@ def test_load_materials_config(tmp_path):
 
 def test_load_materials_rejects_bad_payload(tmp_path):
     cfg = tmp_path / "mats.json"
-    cfg.write_text(json.dumps({"name": "not-a-list"}))
-    with pytest.raises(ValueError):
-        load_materials(cfg)
+    for payload in (
+        {"name": "not-a-list"},
+        ["Na"],  # an entry that is not an object
+        [{"name": "Na", "rs_over_a0": 3.93, "work_function": 2.75,
+          "relaxation_frequencies": 5e13}],  # rates not given as a list
+        [{"name": "Na", "rs_over_a0": None, "work_function": 2.75}],
+        [{"name": "Na", "rs_over_a0": 3.93, "work_function": 2.75,
+          "relaxation_frequencies": [None]}],
+    ):
+        cfg.write_text(json.dumps(payload))
+        with pytest.raises(ValueError):
+            load_materials(cfg)

@@ -128,7 +128,7 @@ def test_force_reduction_rows_match_library(presets, tmp_path, monkeypatch):
 
     def counting(slab, ell, **kw):
         # the bulk reference is the one table with a pole at dE = 0
-        calls["quantized" if slab.tensor.de.all() else "reference"] += 1
+        calls["quantized" if slab.de.all() else "reference"] += 1
         return real(slab, ell, **kw)
 
     monkeypatch.setattr(sweep, "force", counting)
@@ -164,7 +164,7 @@ def test_manifest_reports_film_optics(presets, tmp_path):
     lines = [ln for ln in rep.manifest.read_text().splitlines() if ln.startswith("optics=")]
     assert len(lines) == 2  # one per quantized film, whatever the number of rates
     for line, model in zip(lines, ("FWM", "IWM")):
-        t = quantized_slab(presets["Cs"], model, 1.0, 1e14).tensor
+        t = quantized_slab(presets["Cs"], model, 1.0, 1e14)
         assert line == (f"optics=Cs {model} D=1.0 pairs={t.de.size} "
                         f"sum_rule_completeness={t.sum_rule_completeness:.6g}")
     assert " pairs=3 " in lines[0]
@@ -202,8 +202,8 @@ def test_point_failures_recorded_and_sweep_continues(presets, tmp_path, monkeypa
         return real(material, model, d_film)
 
     def no_far_reference(slab, ell, **kw):
-        if ell > 1.0 and not slab.tensor.de.all():  # the bulk reference at the far gap
-            failed_references.append(slab.tensor.gamma)
+        if ell > 1.0 and not slab.de.all():  # the bulk reference at the far gap
+            failed_references.append(slab.gamma)
             raise RuntimeError("no reference")
         return real_force(slab, ell, **kw)
 
