@@ -11,7 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-from filmcasimir.dielectric import build_tensor, eps_zz
+from filmcasimir.constants import E2_GAUSS, HBAR2_OVER_2ME as MU
+from filmcasimir.dielectric import build_tensor, eps_zz, hard_wall_eps_zz0
 from filmcasimir.estructure import film_state
 from filmcasimir.materials import derive_bulk, material_table
 
@@ -34,8 +35,10 @@ def main():
     for x in x_grid:
         d = float(x) * np.pi / bulk.kF_bulk
         for model in MODELS:
-            t = build_tensor(film_state(mat, model, d))
-            scaled[model].append((eps_zz(t, 0.0) - 1.0) / d**2)
+            st = film_state(mat, model, d)
+            # the hard walls have a closed form; the finite well needs its pole table
+            e0 = eps_zz(build_tensor(st), 0.0) if model == "FWM" else hard_wall_eps_zz0(st)
+            scaled[model].append((e0 - 1.0) / d**2)
 
     out = args.outdir / f"static_eps_{args.material}.csv"
     with open(out, "w") as fh:
@@ -44,8 +47,8 @@ def main():
         for i, x in enumerate(x_grid):
             fh.write(f"{float(x)!r}," + ",".join(f"{scaled[m][i]!r}" for m in MODELS) + "\n")
 
-    # wide-film plateau of the hard-wall response, per unit kF
-    plateau = 2.0050616935 * bulk.kF_bulk
+    # wide-film plateau of the hard-wall response: 16 e^2 kF (pi^4/96)/(pi^5 mu)
+    plateau = 16.0 * E2_GAUSS * (np.pi**4 / 96.0) / (np.pi**5 * MU) * bulk.kF_bulk
     print(f"{args.material}: plateau estimate {plateau:.4f} nm^-2")
     for model in MODELS:
         v = scaled[model][-1]

@@ -8,6 +8,7 @@ from .dielectric import (
     build_tensor,
     eps_xx,
     eps_zz,
+    hard_wall_eps_zz0,
 )
 from .estructure import (
     CapacityError,
@@ -58,7 +59,7 @@ __all__ = [
     "WellSpectrum", "solve_spectrum", "trk_sum",
     "CapacityError", "FilmElectronicState", "electron_density", "fermi_level",
     "film_state", "pbm_box_width",
-    "DielectricTensor", "build_tensor", "eps_xx", "eps_zz",
+    "DielectricTensor", "build_tensor", "eps_xx", "eps_zz", "hard_wall_eps_zz0",
     "ForceConvergenceError", "ForceResult", "delta_D", "delta_P",
     "force", "force_pair", "ideal_mirror_pressure", "isotropic_slab", "q_factors",
     "quantized_slab", "reference_slab",

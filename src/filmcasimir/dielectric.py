@@ -22,9 +22,9 @@ sum: the force quadrature needs it only at one frequency node per row of
 its rule.
 
 The unbounded hard-wall ladders (IWM, PBM) are cut once a partner block adds
-at most _TABLE_TOL of the static sum.  Their oscillator weight is the full
-sum-rule value (hbar omega_P)^2: the hard-wall basis is complete, so no
-partner past the table has to be summed.
+at most _TABLE_TOL of the static sum; their oscillator weight is the full
+sum-rule value (hbar omega_P)^2, as the hard-wall basis is complete.  Their
+static eps_zz(0) is a closed form (``hard_wall_eps_zz0``) that needs no table.
 """
 from __future__ import annotations
 
@@ -165,6 +165,22 @@ def build_tensor(state: FilmElectronicState) -> DielectricTensor:
     coef.setflags(write=False)
     return DielectricTensor(gamma=0.0, hw_p2=hw_p2, d_norm=d_norm, de=de, coef=coef,
                             osc_weight=osc_weight, D=state.spectrum.D)
+
+
+def hard_wall_eps_zz0(state: FilmElectronicState) -> float:
+    """Static eps_zz(0) of a hard-wall (IWM, PBM) film in closed form, with no pole table.
+
+    With I_ij = 4ij/(L(i^2-j^2)) and dE_ij = a(j^2-i^2), a = mu (pi/L)^2, a pair i < j
+    (i + j odd) adds 16 _PREF/(L a)^3 (w_i - w_j) i^2 j^2/(j^2-i^2)^5 to the static sum.
+    That kernel is antisymmetric, so the pair sum is sum_i w_i i^2 S(i), and the cot/tan
+    residue sum gives S(i) = sum_{j+i odd} j^2/(j^2-i^2)^5 = pi^2 (15 - pi^2 i^2)/(3072 i^6).
+    """
+    if isinstance(state.spectrum.model, FiniteWell):
+        raise ValueError("the static closed form holds for hard-wall (IWM, PBM) films only")
+    la = MU * math.pi**2 / state.spectrum.box_width  # L a, L the box width
+    i = np.arange(1, state.m0 + 1, dtype=float)
+    s = math.pi**2 * (15.0 - math.pi**2 * i * i) / (3072.0 * i**6)
+    return 1.0 + 16.0 * _PREF / la**3 * float(np.sum(state.subband_weights * i * i * s))
 
 
 def isotropic_slab(bulk: BulkReference, gamma: float, D: float) -> DielectricTensor:

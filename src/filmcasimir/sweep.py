@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dielectric import build_tensor, eps_zz
+from .dielectric import build_tensor, eps_zz, hard_wall_eps_zz0
 from .estructure import ef_ratio, film_state
 from .lifshitz import force, reference_slab
 from .materials import Material, derive_bulk
@@ -128,7 +128,7 @@ def _film_rows(plan: SweepPlan, material: Material, model: str, failures: list[s
             if plan.quantity == "EF_ratio":
                 rows.append((d_film, x, ef_ratio(state, bulk), state.m0))
             else:
-                e0 = eps_zz(build_tensor(state), 0.0)
+                e0 = eps_zz(build_tensor(state), 0.0) if model == "FWM" else hard_wall_eps_zz0(state)
                 rows.append((d_film, x, e0, e0 / d_film**2))
         except Exception as exc:  # noqa: BLE001 - recorded, sweep continues
             failures.append(f"{material.name} {model} D={d_film!r}: {exc}")

@@ -20,7 +20,7 @@ from filmcasimir.constants import E2_GAUSS, HBAR2_OVER_2ME as MU, HBAR_EVS
 from filmcasimir import dielectric
 from filmcasimir.dielectric import (
     _PREF, DielectricTensor, TensorBuildError, _pair_block, _pole_sum, build_tensor, eps_xx,
-    eps_zz,
+    eps_zz, hard_wall_eps_zz0,
 )
 from filmcasimir.estructure import film_state
 from filmcasimir.lifshitz import force, quantized_slab, reference_slab
@@ -111,6 +111,31 @@ def test_static_response_approaches_closed_form(presets):
     for x in (10.0, 40.0):
         assert rels["Al", x] == pytest.approx(rels["Cs", x], abs=1e-9)
         assert rels["Ag", x] == pytest.approx(rels["Cs", x], abs=1e-9)
+
+
+@pytest.mark.parametrize("i", [1, 2, 3, 6, 11])
+def test_hard_wall_partner_sum_closed_form(i):
+    # S(i) = sum_{j+i odd} j^2/(j^2-i^2)^5; each term is one correctly rounded
+    # int/int division, and the terms past j = 20,000 add below 1e-28
+    terms = [j * j / (j * j - i * i) ** 5 for j in range(1, 20_001) if (i + j) % 2 == 1]
+    closed = math.pi**2 * (15.0 - math.pi**2 * i * i) / (3072.0 * i**6)
+    assert closed == pytest.approx(math.fsum(terms), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("model", ["IWM", "PBM"])
+@pytest.mark.parametrize("name", ["Al", "Ag", "Cs"])
+def test_hard_wall_static_closed_form_matches_the_table(presets, name, model):
+    # the table drops partner blocks below _TABLE_TOL = 1e-13 of the static sum
+    b = derive_bulk(presets[name])
+    for x in np.geomspace(0.5, 160.0, 12):
+        st = film_state(presets[name], model, float(x) * math.pi / b.kF_bulk)
+        want = eps_zz(build_tensor(st), 0.0)
+        assert hard_wall_eps_zz0(st) == pytest.approx(want, rel=2e-13, abs=0.0)
+
+
+def test_hard_wall_static_closed_form_rejects_a_finite_well(presets):
+    with pytest.raises(ValueError, match="hard-wall"):
+        hard_wall_eps_zz0(film_state(presets["Al"], "FWM", 2.0))
 
 
 def drude_closed_form(bulk, gamma, xi):

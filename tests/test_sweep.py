@@ -122,6 +122,32 @@ def test_ratio_rows_match_library(presets, tmp_path):
         assert int(m_s) == st.m0
 
 
+def test_static_rows_use_the_closed_form_for_hard_walls(presets, tmp_path, monkeypatch):
+    real, built = sweep.build_tensor, []
+
+    def counting(state):
+        built.append(type(state.spectrum.model).__name__)
+        return real(state)
+
+    monkeypatch.setattr(sweep, "build_tensor", counting)
+    al, xs = presets["Al"], (0.6, 2.4, 9.0, 30.0)
+    rep = run(SweepPlan("eps_zz0", (al,), ("FWM", "IWM", "PBM"), x_grid=xs,
+                        output_dir=str(tmp_path)))
+    assert not rep.failures
+    assert built == ["FiniteWell"] * len(xs)  # no pole table for a hard wall
+    bulk = derive_bulk(al)
+    for path, model in zip(rep.files, ("FWM", "IWM", "PBM")):
+        body = read_body(path)
+        assert len(body) == 1 + len(xs)
+        for ln, x in zip(body[1:], xs):
+            e0 = float(ln.split(",")[2])
+            want = sweep.eps_zz(real(film_state(al, model, x * math.pi / bulk.kF_bulk)), 0.0)
+            if model == "FWM":
+                assert repr(e0) == repr(want)
+            else:
+                assert e0 == pytest.approx(want, rel=2e-13, abs=0.0)
+
+
 def test_force_reduction_rows_match_library(presets, tmp_path, monkeypatch):
     real = sweep.force
     calls = {"quantized": 0, "reference": 0}
