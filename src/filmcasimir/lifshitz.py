@@ -33,9 +33,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .constants import C_NM_S, HBAR_JS
 from .dielectric import DielectricTensor, build_tensor, eps_xx, eps_zz, isotropic_slab
@@ -159,10 +159,16 @@ def _force_legendre(tensor: DielectricTensor, ell: float, tol: float) -> ForceRe
 
 
 def _force_quadpack(tensor: DielectricTensor, ell: float, tol: float) -> ForceResult:
+    from scipy.integrate import IntegrationWarning, quad
     zeta0 = max(tensor.omega_P / C_NM_S, 1.0 / ell)
     k0 = 1.0 / ell
     inner_rel = max(tol / 10.0, 1e-13)
     counter = [0]
+
+    @cache  # the inner rule's nodes t repeat for every outer k
+    def eps_at(t):
+        xi = zeta0 * t / (1.0 - t) * C_NM_S
+        return eps_xx(tensor, xi), eps_zz(tensor, xi)
 
     def outer(u):
         k = k0 * u / (1.0 - u)
@@ -170,9 +176,8 @@ def _force_quadpack(tensor: DielectricTensor, ell: float, tol: float) -> ForceRe
         def inner(t):
             counter[0] += 1
             zeta = zeta0 * t / (1.0 - t)
-            xi = zeta * C_NM_S
             g0 = math.hypot(k, zeta)
-            r = _r_sum(k * k, zeta, eps_xx(tensor, xi), eps_zz(tensor, xi), tensor.D, ell)
+            r = _r_sum(k * k, zeta, *eps_at(t), tensor.D, ell)
             return float(r) * g0 * zeta0 / (1.0 - t) ** 2
 
         val, _ = quad(inner, 0.0, 1.0, epsabs=0.0, epsrel=inner_rel, limit=_QUAD_LIMIT)

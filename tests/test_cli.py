@@ -1,11 +1,27 @@
 """Command line behaviour: output formats, exit codes, config plumbing."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from filmcasimir.cli import main
-from filmcasimir.lifshitz import delta_P
+from filmcasimir.lifshitz import delta_P, force, quantized_slab, reference_slab
 from filmcasimir.materials import material_table
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _fresh_python(*args):
+    """Run ``python *args`` in a new interpreter that imports the package from src."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, *args], cwd=ROOT, env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def test_materials_listing(capsys, presets):
@@ -156,3 +172,23 @@ def test_missing_subcommand_is_usage_error():
 
 def test_presets_match_library_table(presets):
     assert set(material_table()) == set(presets)
+
+
+def test_package_imports_no_scipy():
+    out = _fresh_python("-c", (
+        "import sys, filmcasimir\n"
+        "mats = filmcasimir.material_table()\n"
+        "filmcasimir.force_pair(mats['Cs'], 'FWM', 1.0, 10.0)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"))
+    assert out.strip() == "[]"
+
+
+def test_point_quadpack_engine_in_fresh_process(presets):
+    # the quadpack engine imports scipy on first use; the CLI must still reach it
+    out = _fresh_python("-m", "filmcasimir", "point", "--material", "Cs", "--model", "FWM",
+                        "--D", "1", "--ell", "10", "--engine", "quadpack").splitlines()
+    f_q, f_ref = (float(v) for v in out[1].split(",")[5:7])
+    assert f_q == force(quantized_slab(presets["Cs"], "FWM", 1.0), 10.0, tol=1e-7,
+                        engine="quadpack").pressure
+    assert f_ref == force(reference_slab(presets["Cs"], 1.0), 10.0, tol=1e-7,
+                          engine="quadpack").pressure

@@ -301,6 +301,34 @@ def test_convergence_failure_carries_partial_result(presets, monkeypatch):
     assert partial.pressure == pytest.approx(ref.pressure, rel=5e-3)
 
 
+@pytest.mark.parametrize("kind", ["film", "reference"])
+def test_quadpack_eps_memo_is_bit_identical(presets, monkeypatch, kind):
+    """The quadpack oracle's per-node eps memo changes no bit of its result.
+
+    The run without the memo replaces ``lifshitz.cache`` by the identity, so
+    eps is evaluated at every integrand point, as before the memo existed.
+    """
+    m = presets["Cs"]
+    slab = quantized_slab(m, "FWM", 1.0) if kind == "film" else reference_slab(m, 1.0)
+    calls = [0]
+
+    def counted(fn):
+        def wrapper(tensor, xi):
+            calls[0] += 1
+            return np.array(fn(tensor, xi))  # a fresh array at every call
+        return wrapper
+
+    monkeypatch.setattr(lifshitz, "eps_xx", counted(eps_xx))
+    monkeypatch.setattr(lifshitz, "eps_zz", counted(eps_zz))
+    memo = force(slab, 10.0, tol=1e-6, engine="quadpack")
+    memo_calls, calls[0] = calls[0], 0
+    monkeypatch.setattr(lifshitz, "cache", lambda fn: fn)
+    plain = force(slab, 10.0, tol=1e-6, engine="quadpack")
+    assert repr(memo) == repr(plain)  # repr round-trips floats, so equal repr is equal bits
+    assert calls[0] == 2 * plain.evaluations
+    assert memo_calls < plain.evaluations / 10
+
+
 def test_argument_validation(presets):
     slab = quantized_slab(presets["Cs"], "IWM", 1.0)
     with pytest.raises(ValueError):

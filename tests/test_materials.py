@@ -14,6 +14,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 import scipy.constants as sc
 
+from filmcasimir import constants
 from filmcasimir.materials import (
     BulkReference,
     Material,
@@ -42,6 +43,16 @@ def test_derive_bulk_matches_si_recomputation(rs):
     assert b.kF_bulk * 1e9 == pytest.approx(kf_si, rel=1e-10)
     assert b.EF_bulk == pytest.approx(ef_si, rel=1e-10)
     assert b.Omega_P == pytest.approx(wp_si, rel=1e-10)
+
+
+def test_si_literals_equal_scipy_constants():
+    # the package carries CODATA 2022 as literals; the installed scipy ships the same set
+    assert constants.EV_J == sc.e
+    assert constants.HBAR_JS == sc.hbar
+    assert constants.C_M_S == sc.c
+    assert constants.M_E_KG == sc.m_e
+    assert constants.EPS0_F_M == sc.epsilon_0
+    assert constants.BOHR_NM == sc.physical_constants["Bohr radius"][0] * 1e9
 
 
 def test_aluminum_free_electron_anchors(presets):
