@@ -21,7 +21,7 @@ is all the Lifshitz force needs of a film.  eps_zz is always the exact pole
 sum: the force quadrature needs it only at one frequency node per row of
 its rule.
 
-The unbounded hard-wall ladders (IWM, PBM) are cut once a partner block adds
+The unbounded hard-wall ladders (IWM, PBM) are cut at a level certified to drop
 at most _TABLE_TOL of the static sum; their oscillator weight is the full
 sum-rule value (hbar omega_P)^2, as the hard-wall basis is complete.  Their
 static eps_zz(0) is a closed form (``hard_wall_eps_zz0``) that needs no table.
@@ -42,7 +42,7 @@ from .qwell import FiniteWell, WellSpectrum
 _PREF = 32.0 * math.pi * E2_GAUSS * MU * MU
 
 _LEVEL_CAP = 400_000
-_TABLE_TOL = 1e-13  # share of the static sum below which a partner block is dropped
+_TABLE_TOL = 1e-13  # share of the static sum the hard-wall cut may drop
 _CHUNK = 1 << 16  # max elements of one (xi, pair) block: 512 kB, cache-sized
 
 
@@ -91,9 +91,9 @@ class DielectricTensor:
         return replace(self, gamma=gamma)
 
 
-def _pair_block(spectrum: WellSpectrum, weights: np.ndarray, j_lo: int, j_hi: int,
+def _pair_block(spectrum: WellSpectrum, weights: np.ndarray,
                 d_norm: float) -> tuple[np.ndarray, np.ndarray]:
-    """Transition energies and strengths for partners j in [j_lo, j_hi].
+    """Transition energies and strengths of each occupied level i with every level j > i.
 
     Pairs are ordered (i < j) with i occupied, i-major and ascending in j;
     W = w_i - w_j > 0 since the weights decrease with energy.
@@ -101,13 +101,38 @@ def _pair_block(spectrum: WellSpectrum, weights: np.ndarray, j_lo: int, j_hi: in
     e = spectrum.well_bottom_energies
     m0 = weights.size
     rows = np.arange(1, m0 + 1)[:, None]
-    cols = np.arange(j_lo, j_hi + 1)
+    cols = np.arange(1, spectrum.n_levels + 1)
     ri, ci = np.nonzero((cols > rows) & ((rows % 2 == 1) != (cols % 2 == 1)))
-    i, j = ri + 1, ci + j_lo
+    i, j = ri + 1, ci + 1
     i_nm = spectrum.momentum_row(i, j)
     de = e[j - 1] - e[i - 1]
     w_j = np.where(j <= m0, weights[np.minimum(j, m0) - 1], 0.0)
     return de, _PREF * i_nm**2 * (weights[i - 1] - w_j) / d_norm
+
+
+def _static_partner_sum(weights: np.ndarray) -> float:
+    """sum_i w_i i^2 S(i): the static sum of ``hard_wall_eps_zz0`` in units of 16 _PREF/(L a)^3."""
+    i = np.arange(1, weights.size + 1, dtype=float)
+    s = math.pi**2 * (15.0 - math.pi**2 * i * i) / (3072.0 * i**6)
+    return float(np.sum(weights * i * i * s))
+
+
+def _hard_wall_cut(state: FilmElectronicState) -> int:
+    """Last partner level J of a hard-wall table, losing at most _TABLE_TOL of the static sum.
+
+    In the units of ``_static_partner_sum`` a pair i < j adds (w_i - w_j) i^2 j^2/(j^2-i^2)^5,
+    and for j > J >= j0 > m0 that is at most w_i i^2 j^-8 (1 - (i/j0)^2)^-5.  Every other j
+    past J sums to at most (J+1)^-8 + (J+1)^-7/14, so the dropped tail is at most
+    T/(J+1)^7 with T = sum_i w_i i^2 (1 - (i/j0)^2)^-5 (1/(j0+1) + 1/14).
+    """
+    w, i = state.subband_weights, np.arange(1, state.m0 + 1, dtype=float)
+    j0 = max(4 * state.m0, 64)
+    t = float(np.sum(w * i * i * (1.0 - (i / j0) ** 2) ** -5)) * (1.0 / (j0 + 1) + 1.0 / 14.0)
+    allowed = _TABLE_TOL * _static_partner_sum(w)
+    if t > allowed * (_LEVEL_CAP + 1) ** 7:
+        raise TensorBuildError(f"intersubband sum not converged below {_LEVEL_CAP} levels "
+                               f"(D={state.spectrum.D} nm, {state.m0} occupied subbands)")
+    return max(j0, math.ceil((t / allowed) ** (1.0 / 7.0)) - 1)
 
 
 def build_tensor(state: FilmElectronicState) -> DielectricTensor:
@@ -116,55 +141,32 @@ def build_tensor(state: FilmElectronicState) -> DielectricTensor:
     The in-plane plasma frequency follows the mean electron density n_avg
     of the normalization slab as Omega_P*sqrt(n_avg/n0).
 
-    A finite well pairs its occupied levels with every bound level.  A hard
-    wall's ladder is unbounded: partners are added in doubling blocks until
-    a block adds at most ``_TABLE_TOL`` of the static sum sum_p c_p/dE_p^2;
-    that block is left out of the table.  The full oscillator weight of a
-    hard wall is (hbar omega_P)^2 by the Thomas-Reiche-Kuhn sum rule, so
-    ``osc_weight`` needs no sum over the ladder.
+    Each occupied level pairs with every level of the spectrum above it; a
+    hard-wall ladder is first extended to the level ``_hard_wall_cut`` gives.
+    The full oscillator weight of a hard wall is (hbar omega_P)^2 by the
+    Thomas-Reiche-Kuhn sum rule, so ``osc_weight`` needs no sum over the ladder.
     """
     spectrum = state.spectrum
-    d_norm = state.d_box if state.d_box is not None else spectrum.D
+    if not isinstance(spectrum.model, FiniteWell):
+        spectrum = spectrum.extended(_hard_wall_cut(state))
     n0 = state.ion_density
     hw_omega2 = 8.0 * math.pi * E2_GAUSS * MU * n0      # (hbar Omega_P)^2
     hw_p2 = hw_omega2 * (state.n_avg / n0)
 
-    weights = state.subband_weights
+    de, num = _pair_block(spectrum, state.subband_weights, spectrum.box_width)
     if isinstance(spectrum.model, FiniteWell):
-        de, num = _pair_block(spectrum, weights, 2, spectrum.n_levels, d_norm)
         osc_weight = float(np.sum(num / de)) if de.size else 0.0
     else:
-        j_hi = max(4 * state.m0, 64)
-        spectrum = spectrum.extended(j_hi)
-        de, num = _pair_block(spectrum, weights, 2, j_hi, d_norm)
-        static = float(np.sum(num / de**3))
-        keep_de, keep_num = [de], [num]
-        while True:
-            j_lo, j_hi = j_hi + 1, 2 * j_hi
-            if j_hi > _LEVEL_CAP:
-                raise TensorBuildError(
-                    f"intersubband sum not converged below {_LEVEL_CAP} levels "
-                    f"(D={spectrum.D} nm, {state.m0} occupied subbands)")
-            spectrum = spectrum.extended(j_hi)
-            de_b, num_b = _pair_block(spectrum, weights, j_lo, j_hi, d_norm)
-            static_b = float(np.sum(num_b / de_b**3))
-            if static_b <= _TABLE_TOL * static:
-                break
-            keep_de.append(de_b)
-            keep_num.append(num_b)
-            static += static_b
-        de = np.concatenate(keep_de)
-        num = np.concatenate(keep_num)
         # TRK sum rule of the complete hard-wall basis: sum_{j != i} I_ij^2/(E_j - E_i)
-        # = 1/(4 mu) for every i, so the weight is _PREF N_areal/(4 mu d_norm) = hw_p2
+        # = 1/(4 mu) for every i, so the weight is _PREF N_areal/(4 mu L) = hw_p2
         osc_weight = hw_p2
 
     with np.errstate(invalid="ignore"):
         coef = num / de if de.size else num
     de.setflags(write=False)
     coef.setflags(write=False)
-    return DielectricTensor(gamma=0.0, hw_p2=hw_p2, d_norm=d_norm, de=de, coef=coef,
-                            osc_weight=osc_weight, D=state.spectrum.D)
+    return DielectricTensor(gamma=0.0, hw_p2=hw_p2, d_norm=spectrum.box_width, de=de,
+                            coef=coef, osc_weight=osc_weight, D=state.spectrum.D)
 
 
 def hard_wall_eps_zz0(state: FilmElectronicState) -> float:
@@ -178,9 +180,7 @@ def hard_wall_eps_zz0(state: FilmElectronicState) -> float:
     if isinstance(state.spectrum.model, FiniteWell):
         raise ValueError("the static closed form holds for hard-wall (IWM, PBM) films only")
     la = MU * math.pi**2 / state.spectrum.box_width  # L a, L the box width
-    i = np.arange(1, state.m0 + 1, dtype=float)
-    s = math.pi**2 * (15.0 - math.pi**2 * i * i) / (3072.0 * i**6)
-    return 1.0 + 16.0 * _PREF / la**3 * float(np.sum(state.subband_weights * i * i * s))
+    return 1.0 + 16.0 * _PREF / la**3 * _static_partner_sum(state.subband_weights)
 
 
 def isotropic_slab(bulk: BulkReference, gamma: float, D: float) -> DielectricTensor:

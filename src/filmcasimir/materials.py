@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,8 +25,10 @@ class Material:
     relaxation_frequencies: tuple[float, ...] = ()   # rad/s
 
     def __post_init__(self):
-        if not self.name:
-            raise ValueError("material needs a non-empty name")
+        # the name becomes part of CSV file names and of the space-separated CSV header
+        if not (isinstance(self.name, str) and re.fullmatch(r"[A-Za-z0-9._-]+", self.name)):
+            raise ValueError("material name must be letters, digits, '.', '_' or '-', "
+                             f"got {self.name!r}")
         if not 0.0 < self.rs_over_a0 < math.inf:
             raise ValueError(f"rs_over_a0 must be positive and finite, got {self.rs_over_a0}")
         if not 0.0 < self.work_function < math.inf:

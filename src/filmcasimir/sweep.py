@@ -229,7 +229,8 @@ def run(plan: SweepPlan) -> RunReport:
         fh.write(f"D_grid={','.join(repr(float(v)) for v in plan.D_grid)}\n")
         fh.write(f"ell_grid={','.join(repr(float(v)) for v in plan.ell_grid)}\n")
         fh.write(f"x_grid={','.join(repr(float(v)) for v in plan.x_grid)}\n")
-        gam = "presets" if plan.gammas is None else ",".join(repr(float(v)) for v in plan.gammas)
+        used = plan.gammas if plan.quantity == "delta_D" else (0.0,)  # the others run at 0
+        gam = "presets" if used is None else ",".join(repr(float(v)) for v in used)
         fh.write(f"gammas={gam}\n")
         fh.write(f"force_tol={plan.force_tol!r}\n")
         fh.write(f"files={len(files)}\n")

@@ -136,6 +136,18 @@ def test_figure_materials_config_extends_table(capsys, tmp_path):
     assert (tmp_path / "fig2_EF_ratio_Na_FWM.csv").exists()
 
 
+@pytest.mark.parametrize("name", ["Na/x", "Na x"])
+def test_figure_rejects_a_material_name_unfit_for_files(capsys, tmp_path, name):
+    cfg = tmp_path / "mats.json"
+    cfg.write_text(json.dumps([{"name": name, "rs_over_a0": 3.93, "work_function": 2.75}]))
+    with pytest.raises(SystemExit) as exc:
+        main(["figure", "fig2", "--points", "3", "--materials", name,
+              "--outdir", str(tmp_path), "--materials-config", str(cfg)])
+    assert exc.value.code == 2
+    assert "material name" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_unreadable_config_exits_two(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["materials", "--materials-config", str(tmp_path / "absent.json")])

@@ -25,6 +25,7 @@ from filmcasimir.dielectric import (
 from filmcasimir.estructure import film_state
 from filmcasimir.lifshitz import force, quantized_slab, reference_slab
 from filmcasimir.materials import derive_bulk
+from filmcasimir.qwell import WellSpectrum
 
 XI_PROBE = (0.0, 1e14, 1e15, 1e16, 3e16, 2e17)  # rad/s
 
@@ -296,9 +297,9 @@ def test_hard_wall_oscillator_weight_is_the_sum_rule_value(presets, model, x):
     def pairs_up_to(j):
         return int(sum(max(0, (j - k + 1) // 2) for k in range(1, m0 + 1)))
 
-    j_table = max(4 * m0, 64)
+    j_table = 2  # the table's last partner: the table holds every pair up to it
     while pairs_up_to(j_table) < t.de.size:
-        j_table *= 2
+        j_table += 1
     assert pairs_up_to(j_table) == t.de.size
     sp = st.spectrum.extended(J)
     e = sp.well_bottom_energies
@@ -399,13 +400,59 @@ def test_partner_cap_failure_is_loud(presets, monkeypatch):
         build_tensor(st)
 
 
-def pair_block_by_rows(spectrum, weights, j_lo, j_hi, d_norm):
+def test_partner_cap_overrun_raises_before_the_ladder_grows(presets, monkeypatch):
+    st = film_state(presets["Cs"], "IWM", 0.5)
+    cut = dielectric._hard_wall_cut(st)
+
+    def refuse(self, n_levels):
+        raise AssertionError(f"ladder extended to {n_levels} levels")
+
+    monkeypatch.setattr(WellSpectrum, "extended", refuse)
+    monkeypatch.setattr(dielectric, "_LEVEL_CAP", cut)  # a cut at the cap itself is allowed
+    with pytest.raises(AssertionError, match=f"extended to {cut} "):
+        build_tensor(st)
+    monkeypatch.setattr(dielectric, "_LEVEL_CAP", cut - 1)
+    with pytest.raises(TensorBuildError, match="not converged"):
+        build_tensor(st)
+
+
+def hard_wall_static_terms(w, js):
+    """Static terms w_i i^2 j^2/(j^2-i^2)^5 of each occupied i with its partners in js."""
+    i = np.arange(1, w.size + 1, dtype=float)[:, None]
+    j = js.astype(float)[None, :]
+    terms = w[:, None] * i * i * j * j / (j * j - i * i) ** 5
+    return terms[(i + j) % 2 == 1]
+
+
+@pytest.mark.parametrize("model", ["IWM", "PBM"])
+@pytest.mark.parametrize("name", ["Al", "Ag", "Cs"])
+def test_hard_wall_cut_drops_at_most_the_table_tolerance(presets, name, model):
+    # in units of 16 _PREF/(L a)^3: the terms from J+1 to 16 J added by math.fsum, and every
+    # term past K = 16 J bounded by w_i i^2 j^-8 (1 - (i/K)^2)^-5, every other j from K+1
+    b = derive_bulk(presets[name])
+    for x in np.geomspace(0.5, 160.0, 12):
+        st = film_state(presets[name], model, float(x) * math.pi / b.kF_bulk)
+        cut, w, m0 = dielectric._hard_wall_cut(st), st.subband_weights, st.m0
+        i = np.arange(1, m0 + 1)
+        assert cut >= max(4 * m0, 64)
+        pairs = sum(len(range(k + 1, cut + 1, 2)) for k in i)
+        assert build_tensor(st).de.size == pairs  # the table stops at the cut
+        K = 16 * cut
+        near = math.fsum(hard_wall_static_terms(w, np.arange(cut + 1, K + 1)))
+        far = float(w @ (i * i * (1.0 - (i / K) ** 2) ** -5))
+        far *= (K + 1.0) ** -8 + (K + 1.0) ** -7 / 14.0
+        s = math.pi**2 * (15.0 - math.pi**2 * i * i) / (3072.0 * i**6)
+        static = math.fsum(w * i * i * s)
+        assert near + far <= dielectric._TABLE_TOL * static
+
+
+def pair_block_by_rows(spectrum, weights, d_norm):
     """Reference pair block: one occupied level i at a time, partners ascending."""
     e = spectrum.well_bottom_energies
     m0 = weights.size
     de_parts, num_parts = [np.empty(0)], [np.empty(0)]
     for i in range(1, m0 + 1):
-        js = np.arange(max(j_lo, i + 1), j_hi + 1)
+        js = np.arange(i + 1, spectrum.n_levels + 1)
         js = js[(i + js) % 2 == 1]
         i_nm = spectrum.momentum_row(i, js)
         w_j = np.where(js <= m0, weights[np.minimum(js, m0) - 1], 0.0)
@@ -419,16 +466,12 @@ def pair_block_by_rows(spectrum, weights, j_lo, j_hi, d_norm):
 def test_pair_block_matches_the_row_by_row_reference(presets, name, model, D):
     state = film_state(presets[name], model, D)
     weights, d_norm = state.subband_weights, state.d_box or D
-    if model == "FWM":
-        sp = state.spectrum
-        top = sp.n_levels
-        blocks = [(2, top), (3, top), (state.m0 + 1, top), (top, top)]
-    else:
+    spectra = [state.spectrum]
+    if model != "FWM":  # the ladder as filled, at the cut's floor j0 and well past it
         j0 = max(4 * state.m0, 64)
-        sp = state.spectrum.extended(8 * j0)
-        blocks = [(2, j0), (j0 + 1, 2 * j0), (4 * j0 + 1, 8 * j0)]
-    for j_lo, j_hi in blocks:
-        de, num = _pair_block(sp, weights, j_lo, j_hi, d_norm)
-        want_de, want_num = pair_block_by_rows(sp, weights, j_lo, j_hi, d_norm)
+        spectra += [state.spectrum.extended(j0), state.spectrum.extended(8 * j0)]
+    for sp in spectra:
+        de, num = _pair_block(sp, weights, d_norm)
+        want_de, want_num = pair_block_by_rows(sp, weights, d_norm)
         assert np.array_equal(de, want_de) and np.array_equal(num, want_num)
-        assert j_lo > 2 or (de.size and num.min() > 0.0)
+        assert de.size and num.min() > 0.0

@@ -151,6 +151,17 @@ def test_load_materials_config(tmp_path):
     assert merged["Na"].work_function == 2.75
 
 
+@pytest.mark.parametrize("name", ["Na/x", "Na x"])
+def test_load_materials_rejects_a_name_unfit_for_files_and_headers(tmp_path, name):
+    # a material name becomes part of CSV file names and of the CSV header tokens
+    cfg = tmp_path / "mats.json"
+    cfg.write_text(json.dumps([{"name": name, "rs_over_a0": 3.93, "work_function": 2.75}]))
+    with pytest.raises(ValueError, match="material name"):
+        load_materials(cfg)
+    for ok in ("Na", "Na-2", "Na_x.1"):
+        assert Material(ok, 3.93, 2.75).name == ok
+
+
 def test_load_materials_rejects_bad_payload(tmp_path):
     cfg = tmp_path / "mats.json"
     for payload in (

@@ -265,6 +265,20 @@ def test_manifest_round_trip(presets, tmp_path):
     assert all("demo_EF_ratio_Cs" in p.name for p in rep.files)
 
 
+@pytest.mark.parametrize("quantity", ["delta_P", "EF_ratio", "eps_zz0"])
+def test_manifest_records_the_rates_the_rows_used(presets, tmp_path, quantity):
+    # only delta_D reads the plan's gammas; the other quantities compute at gamma = 0
+    grids = (dict(D_grid=(1.0,), ell_grid=(5.0,), force_tol=1e-5) if quantity == "delta_P"
+             else dict(x_grid=(1.1,)))
+    for gammas in ((1e14,), None):
+        plan = SweepPlan(quantity, (presets["Cs"],), ("FWM",), output_dir=str(tmp_path),
+                         gammas=gammas, **grids)
+        rep = run(plan)
+        assert "gammas=0.0" in rep.manifest.read_text().splitlines()
+        if quantity == "delta_P":
+            assert [float(ln.split(",")[2]) for ln in read_body(rep.files[0])[1:]] == [0.0]
+
+
 def test_relaxation_grouping_and_preset_gammas(presets, tmp_path):
     plan = SweepPlan("delta_D", (presets["Cs"],), ("FWM",), output_dir=str(tmp_path),
                      D_grid=(1.0,), ell_grid=(1.0,), gammas=None, force_tol=1e-5)
