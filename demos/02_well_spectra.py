@@ -22,7 +22,7 @@ def main():
 
     n_show = max(st.m0 for st in states.values()) + 2
     print(f"{args.material} film, D = {args.thickness} nm "
-          f"(PBM box width {states['PBM'].d_box:.4f} nm)\n")
+          f"(PBM box width {states['PBM'].spectrum.box_width:.4f} nm)\n")
     print(f"{'n':>3}" + "".join(f"{m:>12}" for m in states))
     for n in range(n_show):
         row = f"{n + 1:>3}"

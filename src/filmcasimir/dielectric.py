@@ -138,22 +138,20 @@ def _hard_wall_cut(state: FilmElectronicState) -> int:
 def build_tensor(state: FilmElectronicState) -> DielectricTensor:
     """Assemble the undamped dielectric tensor of a film state.
 
-    The in-plane plasma frequency follows the mean electron density n_avg
-    of the normalization slab as Omega_P*sqrt(n_avg/n0).
+    The in-plane plasma weight (hbar omega_P)^2 = 8 pi e^2 mu sum(w)/L follows
+    the mean electron density sum(w)/L of the box of width L.
 
     Each occupied level pairs with every level of the spectrum above it; a
     hard-wall ladder is first extended to the level ``_hard_wall_cut`` gives.
     The full oscillator weight of a hard wall is (hbar omega_P)^2 by the
     Thomas-Reiche-Kuhn sum rule, so ``osc_weight`` needs no sum over the ladder.
     """
-    spectrum = state.spectrum
+    spectrum, weights = state.spectrum, state.subband_weights
     if not isinstance(spectrum.model, FiniteWell):
         spectrum = spectrum.extended(_hard_wall_cut(state))
-    n0 = state.ion_density
-    hw_omega2 = 8.0 * math.pi * E2_GAUSS * MU * n0      # (hbar Omega_P)^2
-    hw_p2 = hw_omega2 * (state.n_avg / n0)
+    hw_p2 = 8.0 * math.pi * E2_GAUSS * MU * float(np.sum(weights)) / spectrum.box_width
 
-    de, num = _pair_block(spectrum, state.subband_weights, spectrum.box_width)
+    de, num = _pair_block(spectrum, weights, spectrum.box_width)
     if isinstance(spectrum.model, FiniteWell):
         osc_weight = float(np.sum(num / de)) if de.size else 0.0
     else:

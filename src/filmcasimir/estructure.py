@@ -1,11 +1,13 @@
 """Film electronic structure: subband filling, Fermi level, density profiles.
 
-Each subband n contributes an areal electron density
-w_n = (E_F - E_n) / (2 pi mu), mu = hbar^2/2m, with E measured from the
-well bottom; filling is fixed by charge neutrality against the ion slab,
-integral n dz = n0 * D.  Both the Fermi level of a given spectrum
-(fermi_level) and the enlarged box width at the bulk Fermi level
-(pbm_box_width) are closed forms on each branch of m0 filled subbands.
+A film state is its spectrum, its Fermi level E_F and its number m0 of
+filled subbands; E_F and the level energies E_n are measured from the well
+bottom.  Each subband n contributes an areal electron density
+w_n = (E_F - E_n) / (2 pi mu), mu = hbar^2/2m; filling is fixed by charge
+neutrality against the ion slab, integral n dz = n0 * D.  Both the Fermi
+level of a given spectrum (fermi_level) and the enlarged box width at the
+bulk Fermi level (pbm_box_width) are closed forms on each branch of m0
+filled subbands.
 """
 from __future__ import annotations
 
@@ -28,21 +30,15 @@ class CapacityError(RuntimeError):
 
 @dataclass(frozen=True)
 class FilmElectronicState:
-    """Occupied spectrum of one film: Fermi level and subband weights."""
+    """Occupied spectrum of one film: its Fermi level and m0 filled subbands.
+
+    Everything else is derived: the subband weights, their sum n0*D and the
+    mean density sum(w)/spectrum.box_width.
+    """
 
     spectrum: WellSpectrum
-    EF: float                 # eV, same energy origin as spectrum.energies
+    ef_well_bottom: float     # eV, Fermi level measured from the well bottom
     m0: int                   # number of occupied subbands
-    areal_density: float      # nm^-2, equals n0 * D by construction
-    n_avg: float              # nm^-3, mean density over the normalization width
-    d_box: float | None = None  # nm, enlarged box width (ParticleInBox only)
-
-    @property
-    def ef_well_bottom(self) -> float:
-        """Fermi level measured from the well bottom (eV)."""
-        if isinstance(self.spectrum.model, FiniteWell):
-            return self.EF + self.spectrum.model.v0
-        return self.EF
 
     @property
     def subband_weights(self) -> np.ndarray:
@@ -50,59 +46,37 @@ class FilmElectronicState:
         e = self.spectrum.well_bottom_energies[: self.m0]
         return (self.ef_well_bottom - e) / TWO_PI_MU
 
-    @property
-    def ion_density(self) -> float:
-        """Ion slab density n0 (nm^-3) implied by neutrality."""
-        return self.areal_density / self.spectrum.D
-
 
 def fermi_level(spectrum: WellSpectrum, n0: float) -> FilmElectronicState:
     """Fill the spectrum with n0*D electrons per unit area (aufbau).
 
-    For each candidate count m0 the neutrality condition has the closed form
-    EF = (2 pi mu n0 D + sum_n E_n) / m0; the first m0 whose EF does not
-    reach the next level is accepted.
+    For each candidate count m the neutrality condition has the closed form
+    EF_m = (2 pi mu n0 D + sum_{n<=m} E_n) / m; the first m whose EF_m does not
+    reach level m+1 is m0.  A hard-wall ladder of width L with m0 filled levels
+    has 2 pi mu n0 D > a (m0^3 - S2(m0)), a = mu pi^2/L^2, which is
+    4 X^3 > 4 m0^3 - 3 m0^2 - m0 with X = kF (D L^2)^(1/3)/pi, so m0 < X + 1:
+    the ladder is extended once, to ceil(X) + 2 levels.
     """
     if not 0.0 < n0 < math.inf:
         raise ValueError(f"ion density must be positive and finite, got {n0}")
     target = n0 * spectrum.D  # nm^-2
+    kf = (3.0 * math.pi**2 * n0) ** (1.0 / 3.0)
+    x = kf * (spectrum.D * spectrum.box_width**2) ** (1.0 / 3.0) / math.pi
+    spectrum = spectrum.extended(math.ceil(x) + 2)
 
-    m0 = 0
-    acc = 0.0
-    while True:
-        # make sure the level after the candidate exists, where the ladder allows
-        while spectrum.n_levels < m0 + 2:
-            ext = spectrum.extended(max(2 * spectrum.n_levels, m0 + 2))
-            if ext.n_levels == spectrum.n_levels:
-                break
-            spectrum = ext
-        e = spectrum.well_bottom_energies
-        m0 += 1
-        acc += e[m0 - 1]
-        ef = (TWO_PI_MU * target + acc) / m0
-        if m0 < spectrum.n_levels and ef <= e[m0]:
-            break
-        if m0 >= spectrum.n_levels:
-            break  # finite well: bound spectrum exhausted
+    e = spectrum.well_bottom_energies
+    ef = (TWO_PI_MU * target + np.cumsum(e)) / np.arange(1, e.size + 1)
+    stops = np.flatnonzero(ef[:-1] <= e[1:])  # EF_m does not reach level m+1
+    m0 = int(stops[0]) + 1 if stops.size else e.size  # else: the finite well's levels ran out
+    ef_m0 = float(ef[m0 - 1])
 
-    if isinstance(spectrum.model, FiniteWell) and m0 == spectrum.n_levels and ef > spectrum.model.v0:
+    if isinstance(spectrum.model, FiniteWell) and m0 == spectrum.n_levels and ef_m0 > spectrum.model.v0:
         raise CapacityError(
             f"bound spectrum of the {spectrum.D} nm finite well (V0={spectrum.model.v0} eV, "
             f"{spectrum.n_levels} levels) cannot hold {target} electrons/nm^2: "
-            f"EF={ef:.6g} eV from the well bottom exceeds the well depth"
+            f"EF={ef_m0:.6g} eV from the well bottom exceeds the well depth"
         )
-
-    weights = (ef - spectrum.well_bottom_energies[:m0]) / TWO_PI_MU
-    areal = float(np.sum(weights))
-    ef_stored = ef - spectrum.model.v0 if isinstance(spectrum.model, FiniteWell) else ef
-    return FilmElectronicState(
-        spectrum=spectrum,
-        EF=ef_stored,
-        m0=m0,
-        areal_density=areal,
-        n_avg=areal / spectrum.box_width,
-        d_box=spectrum.model.d if isinstance(spectrum.model, ParticleInBox) else None,
-    )
+    return FilmElectronicState(spectrum=spectrum, ef_well_bottom=ef_m0, m0=m0)
 
 
 def pbm_box_width(bulk: BulkReference, D: float) -> FilmElectronicState:
@@ -138,18 +112,11 @@ def pbm_box_width(bulk: BulkReference, D: float) -> FilmElectronicState:
 
     m0 = int(math.floor(d * kf / math.pi))
     spectrum = solve_spectrum(ParticleInBox(d), D, n_levels=max(2 * m0, 16))
-    weights = (ef - spectrum.well_bottom_energies[:m0]) / TWO_PI_MU
-    areal = float(np.sum(weights))
-    if abs(areal - target) > 1e-9 * target:
-        raise CapacityError(f"box width solve left a neutrality residual of {areal - target:g} nm^-2")
-    return FilmElectronicState(
-        spectrum=spectrum,
-        EF=ef,
-        m0=m0,
-        areal_density=areal,
-        n_avg=areal / d,
-        d_box=d,
-    )
+    state = FilmElectronicState(spectrum, ef, m0)
+    residual = float(np.sum(state.subband_weights)) - target
+    if abs(residual) > 1e-9 * target:
+        raise CapacityError(f"box width solve left a neutrality residual of {residual:g} nm^-2")
+    return state
 
 
 def film_state(material, model_name: str, D: float) -> FilmElectronicState:

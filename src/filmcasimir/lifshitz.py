@@ -196,15 +196,11 @@ def _force_quadpack(tensor: DielectricTensor, ell: float, tol: float) -> ForceRe
     return ForceResult(pressure, err, counter[0])
 
 
-_NODE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@cache
 def _unit_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights mapped to the open interval (0, 1)."""
-    if n not in _NODE_CACHE:
-        x, w = np.polynomial.legendre.leggauss(n)
-        _NODE_CACHE[n] = (0.5 * (x + 1.0), 0.5 * w)
-    return _NODE_CACHE[n]
+    x, w = np.polynomial.legendre.leggauss(n)
+    return 0.5 * (x + 1.0), 0.5 * w
 
 
 def force(tensor: DielectricTensor, ell: float, tol: float = 1e-6,

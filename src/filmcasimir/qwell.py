@@ -5,8 +5,9 @@ exponential spill-out tails.  InfiniteWell: hard walls at +-D/2.
 ParticleInBox: hard walls at +-d/2 with d >= D, the enlarged box used to
 mimic spill-out while keeping hard-wall states.
 
-Wavevectors are nm^-1, energies eV.  Envelopes are normalized to
-integral |phi|^2 dz = 1 along the confinement axis z.
+Wavevectors are nm^-1, energies eV measured from the well bottom.
+Envelopes are normalized to integral |phi|^2 dz = 1 along the
+confinement axis z.
 
 The hard-wall ladders are closed forms.  The finite well's bound levels are
 solved together, by one vectorized Newton iteration in theta = asin(k/k0)
@@ -60,16 +61,14 @@ ConfinementModel = Union[FiniteWell, InfiniteWell, ParticleInBox]
 
 @dataclass(frozen=True)
 class WellSpectrum:
-    """Ordered bound levels (k_zn, E_n), n = 1..N, of one confinement model.
+    """Ordered bound levels k_zn, n = 1..N, of one confinement model.
 
-    Energies use the vacuum level as origin for FiniteWell (bound levels are
-    negative) and the well bottom for the hard-wall models.
+    The level energies E_n = mu k_zn^2 are measured from the well bottom.
     """
 
     model: ConfinementModel
     D: float                 # film (ion slab) thickness, nm
     k_z: np.ndarray          # nm^-1, strictly increasing
-    energies: np.ndarray     # eV
 
     @property
     def n_levels(self) -> int:
@@ -213,7 +212,6 @@ def solve_spectrum(model: ConfinementModel, D: float, n_levels: int = 64) -> Wel
         raise ValueError(f"film thickness must be positive and finite, got {D}")
     if isinstance(model, FiniteWell):
         k = _solve_finite_well(model.v0, D)
-        energies = MU * k**2 - model.v0
     elif isinstance(model, (InfiniteWell, ParticleInBox)):
         if isinstance(model, ParticleInBox) and model.d < D:
             raise ValueError(f"box width d={model.d} nm smaller than the film D={D} nm")
@@ -221,12 +219,10 @@ def solve_spectrum(model: ConfinementModel, D: float, n_levels: int = 64) -> Wel
             raise ValueError("need at least one level")
         L = model.d if isinstance(model, ParticleInBox) else D
         k = np.arange(1, n_levels + 1) * math.pi / L
-        energies = MU * k**2
     else:
         raise TypeError(f"unknown confinement model {model!r}")
     k.setflags(write=False)
-    energies.setflags(write=False)
-    return WellSpectrum(model=model, D=D, k_z=k, energies=energies)
+    return WellSpectrum(model=model, D=D, k_z=k)
 
 
 def trk_sum(spectrum: WellSpectrum, n: int) -> float:

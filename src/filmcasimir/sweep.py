@@ -61,11 +61,8 @@ class SweepPlan:
                 raise ValueError(f"unknown confinement model {model!r}, expected one of {MODELS}")
         if not self.models:
             raise ValueError("plan needs at least one confinement model")
-        if self.quantity in ("EF_ratio", "eps_zz0"):
-            _check_grid("x_grid", self.x_grid)
-        else:
-            _check_grid("D_grid", self.D_grid)
-            _check_grid("ell_grid", self.ell_grid)
+        for name in _walked_grids(self.quantity):
+            _check_grid(name, getattr(self, name))
         if self.quantity == "delta_D":
             if self.gammas is not None and len(self.gammas) == 0:
                 raise ValueError("delta_D needs a non-empty gamma set (or None for presets)")
@@ -83,6 +80,11 @@ class SweepPlan:
                 if key in written:
                     raise ValueError(f"{written[key]} and {group} would both write {key}.csv")
                 written[key] = group
+
+
+def _walked_grids(quantity: str) -> tuple[str, ...]:
+    """Names of the plan grids a quantity walks; it ignores the others."""
+    return ("x_grid",) if quantity in ("EF_ratio", "eps_zz0") else ("D_grid", "ell_grid")
 
 
 def _check_grid(name: str, grid: tuple[float, ...]) -> None:
@@ -226,9 +228,9 @@ def run(plan: SweepPlan) -> RunReport:
         fh.write(f"quantity={plan.quantity}\n")
         fh.write(f"materials={','.join(m.name for m in plan.materials)}\n")
         fh.write(f"models={','.join(plan.models)}\n")
-        fh.write(f"D_grid={','.join(repr(float(v)) for v in plan.D_grid)}\n")
-        fh.write(f"ell_grid={','.join(repr(float(v)) for v in plan.ell_grid)}\n")
-        fh.write(f"x_grid={','.join(repr(float(v)) for v in plan.x_grid)}\n")
+        for name in ("D_grid", "ell_grid", "x_grid"):  # a grid the rows never walked stays empty
+            grid = getattr(plan, name) if name in _walked_grids(plan.quantity) else ()
+            fh.write(f"{name}={','.join(repr(float(v)) for v in grid)}\n")
         used = plan.gammas if plan.quantity == "delta_D" else (0.0,)  # the others run at 0
         gam = "presets" if used is None else ",".join(repr(float(v)) for v in used)
         fh.write(f"gammas={gam}\n")

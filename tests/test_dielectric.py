@@ -61,9 +61,9 @@ def test_hard_wall_table_matches_raw_double_sum(presets, gamma):
 def test_enlarged_box_table_matches_raw_double_sum(presets):
     st = film_state(presets["Al"], "PBM", 1.0)
     t = build_tensor(st)
-    assert t.d_norm == st.d_box
+    assert t.d_norm == st.spectrum.box_width
     for xi in XI_PROBE:
-        want = raw_hard_wall_eps(st, st.d_box, 4096, 0.0, xi)
+        want = raw_hard_wall_eps(st, st.spectrum.box_width, 4096, 0.0, xi)
         assert (eps_zz(t, xi) - 1.0) == pytest.approx(want - 1.0, rel=1e-9, abs=1e-9)
 
 
@@ -266,7 +266,7 @@ def test_depleted_box_plasma_frequency(presets):
     b = derive_bulk(presets["Ag"])
     st = film_state(presets["Ag"], "PBM", 1.5)
     t = build_tensor(st)
-    ratio = st.n_avg / b.n0
+    ratio = np.sum(st.subband_weights) / st.spectrum.box_width / b.n0
     assert ratio < 1.0
     assert t.omega_P == pytest.approx(b.Omega_P * math.sqrt(ratio), rel=1e-12)
     assert t.omega_P < b.Omega_P
@@ -465,7 +465,7 @@ def pair_block_by_rows(spectrum, weights, d_norm):
                                           ("Al", "IWM", 3.0), ("Ag", "PBM", 2.0)])
 def test_pair_block_matches_the_row_by_row_reference(presets, name, model, D):
     state = film_state(presets[name], model, D)
-    weights, d_norm = state.subband_weights, state.d_box or D
+    weights, d_norm = state.subband_weights, state.spectrum.box_width
     spectra = [state.spectrum]
     if model != "FWM":  # the ladder as filled, at the cut's floor j0 and well past it
         j0 = max(4 * state.m0, 64)

@@ -13,6 +13,7 @@ import pytest
 from scipy.optimize import bisect
 
 from filmcasimir.constants import HBAR2_OVER_2ME as MU
+from filmcasimir.dielectric import _hard_wall_cut
 from filmcasimir.estructure import (
     CapacityError,
     electron_density,
@@ -22,7 +23,7 @@ from filmcasimir.estructure import (
     pbm_box_width,
 )
 from filmcasimir.materials import BulkReference, Material, derive_bulk
-from filmcasimir.qwell import InfiniteWell, solve_spectrum
+from filmcasimir.qwell import InfiniteWell, ParticleInBox, solve_spectrum
 
 TWO_PI_MU = 2.0 * math.pi * MU
 
@@ -76,7 +77,7 @@ def test_single_subband_closed_form():
     assert st.m0 == 1
     e1 = MU * (math.pi / 0.2) ** 2
     want = e1 + TWO_PI_MU * b.n0 * 0.2
-    assert st.EF == pytest.approx(want, rel=1e-14)
+    assert st.ef_well_bottom == pytest.approx(want, rel=1e-14)
 
 
 @pytest.mark.parametrize("model", ["FWM", "IWM"])
@@ -152,6 +153,42 @@ def test_iwm_fermi_level_exceeds_fwm(presets):
             assert hard.ef_well_bottom > soft.ef_well_bottom
 
 
+# ---------------------------------------------------------- fill bound
+
+
+def one_level_hard_walls(presets):
+    """(one-level spectrum, n0) for IWM and boxes of width D..1.6 D, D over 0.05..300 nm."""
+    for name in ("Al", "Ag", "Cs"):
+        n0 = derive_bulk(presets[name]).n0
+        for D in np.geomspace(0.05, 300.0, 41):
+            D = float(D)
+            for model in (InfiniteWell(), ParticleInBox(D), ParticleInBox(1.3 * D),
+                          ParticleInBox(1.6 * D)):
+                yield solve_spectrum(model, D, n_levels=1), n0
+
+
+def test_one_extension_holds_every_filled_level(presets):
+    # m0 < X + 1 <= n_levels - 1, and a longer ladder fills the same levels bit for bit
+    for spectrum, n0 in one_level_hard_walls(presets):
+        st = fermi_level(spectrum, n0)
+        assert st.m0 < st.spectrum.n_levels
+        longer = fermi_level(st.spectrum.extended(4 * st.spectrum.n_levels), n0)
+        assert (longer.m0, longer.ef_well_bottom) == (st.m0, st.ef_well_bottom)
+        if isinstance(spectrum.model, InfiniteWell):  # the tensor's cut keeps the table
+            assert st.spectrum.n_levels <= _hard_wall_cut(st)
+
+
+def test_finite_well_fermi_level_is_the_neutrality_closed_form(presets):
+    for name in ("Al", "Ag", "Cs"):
+        n0 = derive_bulk(presets[name]).n0
+        for D in np.geomspace(0.3, 30.0, 25):
+            st = film_state(presets[name], "FWM", float(D))
+            acc = 0.0
+            for e in st.spectrum.well_bottom_energies[: st.m0]:  # left to right
+                acc += e
+            assert st.ef_well_bottom == (TWO_PI_MU * (n0 * float(D)) + acc) / st.m0
+
+
 # ----------------------------------------------------------------- PBM
 
 
@@ -162,11 +199,11 @@ def test_pbm_box_width_and_pinned_fermi_level(presets):
         D = float(rng.uniform(0.4, 9.0))
         b = derive_bulk(presets[name])
         st = film_state(presets[name], "PBM", D)
-        assert st.d_box > D
+        assert st.spectrum.box_width > D
         assert st.ef_well_bottom == pytest.approx(b.EF_bulk, rel=1e-12)
-        assert st.n_avg < b.n0
+        assert np.sum(st.subband_weights) / st.spectrum.box_width < b.n0
         # independent re-summation of the neutrality condition at d
-        e = MU * (np.arange(1, st.m0 + 1) * math.pi / st.d_box) ** 2
+        e = MU * (np.arange(1, st.m0 + 1) * math.pi / st.spectrum.box_width) ** 2
         areal = float(np.sum(b.EF_bulk - e)) / TWO_PI_MU
         assert abs(areal - b.n0 * D) < 1e-10 * b.n0 * D
 
@@ -177,8 +214,8 @@ def test_pbm_box_width_matches_bisection_oracle():
         b = derive_bulk(Material("r", float(rng.uniform(1.8, 6.0)), 3.0))
         D = float(np.exp(rng.uniform(math.log(0.2), math.log(60.0))))
         st = pbm_box_width(b, D)
-        assert st.d_box == pytest.approx(bisect_box_width(b, D), rel=1e-13)
-        assert st.m0 == int(st.d_box * b.kF_bulk / math.pi)
+        assert st.spectrum.box_width == pytest.approx(bisect_box_width(b, D), rel=1e-13)
+        assert st.m0 == int(st.spectrum.box_width * b.kF_bulk / math.pi)
 
 
 @pytest.mark.parametrize("N", [2, 5, 30])
@@ -189,8 +226,8 @@ def test_pbm_box_width_where_the_filled_count_changes(presets, N):
     D_c = math.fsum(ef * (1.0 - (n / N) ** 2) for n in range(1, N)) / (TWO_PI_MU * b.n0)
     for D, m0 in ((D_c * (1 - 1e-9), N - 1), (D_c, None), (D_c * (1 + 1e-9), N)):
         st = pbm_box_width(b, D)
-        assert st.d_box == pytest.approx(bisect_box_width(b, D), rel=1e-13)
-        assert st.d_box == pytest.approx(N * math.pi / b.kF_bulk, rel=1e-8)
+        assert st.spectrum.box_width == pytest.approx(bisect_box_width(b, D), rel=1e-13)
+        assert st.spectrum.box_width == pytest.approx(N * math.pi / b.kF_bulk, rel=1e-8)
         assert st.m0 in ((N - 1, N) if m0 is None else (m0,))
 
 
@@ -201,7 +238,7 @@ def test_pbm_box_width_keeps_a_box_that_already_holds_the_charge(presets):
     D = 1.3
     exact = BulkReference(box_occupation(D, b) / D, b.kF_bulk, b.EF_bulk, b.Omega_P)
     st = pbm_box_width(exact, D)
-    assert st.d_box == pytest.approx(D, rel=1e-13)
+    assert st.spectrum.box_width == pytest.approx(D, rel=1e-13)
     assert st.m0 == int(D * b.kF_bulk / math.pi)
     thin = BulkReference(0.9 * exact.n0, b.kF_bulk, b.EF_bulk, b.Omega_P)
     assert bisect_box_width(thin, D) == D
@@ -211,7 +248,7 @@ def test_pbm_box_width_keeps_a_box_that_already_holds_the_charge(presets):
 
 def test_pbm_box_width_approaches_film_width(presets):
     b = derive_bulk(presets["Al"])
-    widths = [pbm_box_width(b, D).d_box / D for D in (1.0, 5.0, 20.0, 80.0)]
+    widths = [pbm_box_width(b, D).spectrum.box_width / D for D in (1.0, 5.0, 20.0, 80.0)]
     assert np.all(np.diff(widths) < 0.0)
     assert widths[-1] < 1.01
     assert widths[0] > 1.05
@@ -238,7 +275,7 @@ def test_density_zero_outside_hard_wall(presets):
     # PBM spill-out region carries charge, but only out to d/2
     st = film_state(presets["Ag"], "PBM", 2.0)
     inside = electron_density(st, np.array([1.01]))
-    outside = electron_density(st, np.array([st.d_box / 2 + 1e-9]))
+    outside = electron_density(st, np.array([st.spectrum.box_width / 2 + 1e-9]))
     assert inside[0] > 0.0
     assert outside[0] == 0.0
 

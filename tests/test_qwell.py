@@ -92,7 +92,7 @@ def dipole_momentum(spectrum, n: int, m: int) -> float:
 
     val, err = quad(integrand, -lim, lim, points=pts, limit=200,
                     epsabs=1e-13, epsrel=1e-12)
-    e = spectrum.energies
+    e = spectrum.well_bottom_energies
     return (e[m - 1] - e[n - 1]) / (2.0 * MU) * val
 
 
@@ -178,9 +178,10 @@ def test_fw_newton_cap_is_loud(monkeypatch):
 
 def test_fw_energies_bound_and_ordered():
     sp = solve_spectrum(FiniteWell(6.0), 3.0)
-    assert np.all(sp.energies < 0.0)
-    assert np.all(sp.energies > -6.0)
-    assert np.all(np.diff(sp.energies) > 0.0)
+    e = sp.well_bottom_energies
+    assert np.all(e > 0.0)
+    assert np.all(e < 6.0)
+    assert np.all(np.diff(e) > 0.0)
     assert np.all(np.diff(sp.k_z) > 0.0)
 
 
@@ -236,7 +237,7 @@ def test_envelope_satisfies_schroedinger_equation():
             f = sp.envelope(n, z)
             d2 = (-f[0] + 16 * f[1] - 30 * f[2] + 16 * f[3] - f[4]) / (12 * h * h)
             v = -v0 if z0 < D / 2 else 0.0
-            resid = -MU * d2 + (v - sp.energies[n - 1]) * f[2]
+            resid = -MU * d2 + (v - (sp.well_bottom_energies[n - 1] - v0)) * f[2]
             assert abs(resid) < 1e-6
 
 
@@ -347,7 +348,7 @@ def test_momentum_row_broadcasts_an_array_of_levels(model, D):
 def test_trk_sum_hard_wall():
     sp = solve_spectrum(InfiniteWell(), 2.0, n_levels=4000)
     f12 = 4.0 * MU * sp.momentum_integral(1, 2) ** 2 / (
-        sp.energies[1] - sp.energies[0])
+        sp.well_bottom_energies[1] - sp.well_bottom_energies[0])
     assert f12 == pytest.approx(256.0 / (27.0 * math.pi**2), rel=1e-13)
     assert trk_sum(sp, 1) == pytest.approx(1.0, abs=1e-6)
     assert trk_sum(sp, 3) == pytest.approx(1.0, abs=1e-6)

@@ -279,6 +279,20 @@ def test_manifest_records_the_rates_the_rows_used(presets, tmp_path, quantity):
             assert [float(ln.split(",")[2]) for ln in read_body(rep.files[0])[1:]] == [0.0]
 
 
+@pytest.mark.parametrize("quantity", ["delta_P", "EF_ratio"])
+def test_manifest_records_the_grids_the_rows_used(presets, tmp_path, quantity):
+    # every grid is set, with a nan in those the quantity ignores; only the walked ones appear
+    walked = (dict(D_grid=(1.0,), ell_grid=(5.0,)) if quantity == "delta_P"
+              else dict(x_grid=(1.1,)))
+    grids = {name: walked.get(name, (math.nan,)) for name in ("D_grid", "ell_grid", "x_grid")}
+    plan = SweepPlan(quantity, (presets["Cs"],), ("FWM",), output_dir=str(tmp_path),
+                     force_tol=1e-5, **grids)
+    kv = dict(ln.split("=", 1) for ln in run(plan).manifest.read_text().splitlines()
+              if not ln.startswith(("optics=", "failure=")))
+    for name, grid in grids.items():
+        assert kv[name] == (",".join(repr(v) for v in grid) if name in walked else "")
+
+
 def test_relaxation_grouping_and_preset_gammas(presets, tmp_path):
     plan = SweepPlan("delta_D", (presets["Cs"],), ("FWM",), output_dir=str(tmp_path),
                      D_grid=(1.0,), ell_grid=(1.0,), gammas=None, force_tol=1e-5)
