@@ -25,6 +25,7 @@ from .lifshitz import (
     delta_P,
     force,
     force_pair,
+    forces,
     ideal_mirror_pressure,
     isotropic_slab,
     q_factors,
@@ -61,7 +62,7 @@ __all__ = [
     "film_state", "pbm_box_width",
     "DielectricTensor", "build_tensor", "eps_xx", "eps_zz", "hard_wall_eps_zz0",
     "ForceConvergenceError", "ForceResult", "delta_D", "delta_P",
-    "force", "force_pair", "ideal_mirror_pressure", "isotropic_slab", "q_factors",
+    "force", "force_pair", "forces", "ideal_mirror_pressure", "isotropic_slab", "q_factors",
     "quantized_slab", "reference_slab",
     "FIGURES", "RunReport", "SweepPlan", "figure_plan", "run",
 ]

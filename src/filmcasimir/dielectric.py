@@ -82,8 +82,11 @@ class DielectricTensor:
     def sum_rule_completeness(self) -> float:
         """Oscillator weight over the full-sum-rule value (hbar omega_P)^2.
 
-        Equals 1 for a complete partner basis; below 1 when the finite well
-        keeps bound states only (continuum transitions are not modeled).
+        Below 1 for the finite well, whose table keeps bound-to-bound
+        transitions only (continuum transitions are not modeled).  A hard
+        wall (IWM, PBM) reads 1 by the Thomas-Reiche-Kuhn sum rule of its
+        complete basis, while its cut table sums to 1 - (1.6 to 4.8)e-6 of
+        (hbar omega_P)^2 for Al, Ag and Cs at D = 1 to 20 nm.
         """
         return self.osc_weight / self.hw_p2
 

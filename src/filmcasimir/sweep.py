@@ -5,8 +5,10 @@ A SweepPlan fixes one quantity and the grids; ``run`` writes one CSV per
 computed in a fixed order, so re-running an identical plan reproduces the
 CSV bodies byte for byte.  Point failures are recorded in the manifest and
 the sweep continues.  For the force quantities the manifest also carries one
-``optics=`` line per film (material, model, D): its pair count and the share
-of the oscillator sum rule its pole table holds.
+``optics=`` line per film (material, model, D): its pair count and its
+``sum_rule_completeness``, the bound-state share of the oscillator sum rule
+for the finite well and 1 for the hard walls, by the Thomas-Reiche-Kuhn sum
+rule of their complete basis.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ import numpy as np
 from . import __version__
 from .dielectric import build_tensor, eps_zz, hard_wall_eps_zz0
 from .estructure import ef_ratio, film_state
-from .lifshitz import force, reference_slab
+from .lifshitz import forces, reference_slab
 from .materials import Material, derive_bulk
 
 QUANTITIES = ("EF_ratio", "eps_zz0", "delta_P", "delta_D")
@@ -137,42 +139,45 @@ def _film_rows(plan: SweepPlan, material: Material, model: str, failures: list[s
     return rows
 
 
+def _gap_forces(plan: SweepPlan, slab, *args) -> list:
+    """forces over the plan's gap grid, or the exception for every gap if the film fails."""
+    try:
+        return forces(slab(*args), plan.ell_grid, tol=plan.force_tol)
+    except Exception as exc:  # noqa: BLE001 - noted once per row that needed it
+        return [exc] * len(plan.ell_grid)
+
+
 def _reduction_rows(plan: SweepPlan, material: Material, failures: list[str],
                     optics: list[str]) -> dict[tuple[str, float], list[tuple]]:
     """delta rows of one material by (model, gamma), D outer and ell inner.
 
-    Each film is built once and reaches every gamma by ``with_gamma``; each
-    reference force is computed once per (D, gamma, ell) for all models.
+    Each film is built once and reaches every gamma by ``with_gamma``; one
+    ``forces`` call serves its whole gap grid at each gamma, and the reference
+    forces of each (D, gamma) are computed once for all models.
     """
     gammas = _resolved_gammas(plan, material)
     rows = {(model, gamma): [] for model in plan.models for gamma in gammas}
     for d_film in plan.D_grid:
-        refs: dict[tuple[float, float], object] = {}  # a ForceResult or the exception
-        for gamma, ell in itertools.product(gammas, plan.ell_grid):
-            try:
-                slab_ref = reference_slab(material, d_film, gamma)
-                refs[gamma, ell] = force(slab_ref, ell, tol=plan.force_tol)
-            except Exception as exc:  # noqa: BLE001 - noted once per model below
-                refs[gamma, ell] = exc
+        refs = {gamma: _gap_forces(plan, reference_slab, material, d_film, gamma)
+                for gamma in gammas}
         for model in plan.models:
             film = f"{material.name} {model} D={d_film!r}"
             try:
                 tensor = build_tensor(film_state(material, model, d_film))
-            except Exception as exc:  # noqa: BLE001
+            except Exception as exc:  # noqa: BLE001 - recorded, sweep continues
                 failures.append(f"{film}: {exc}")
                 continue
             optics.append(f"{film} pairs={tensor.de.size} "
                           f"sum_rule_completeness={tensor.sum_rule_completeness:.6g}")
-            for gamma, ell in itertools.product(gammas, plan.ell_grid):
-                try:
-                    f_q = force(tensor.with_gamma(gamma), ell, tol=plan.force_tol)
-                    f_ref = refs[gamma, ell]
-                    if isinstance(f_ref, Exception):
-                        raise f_ref
+            for gamma in gammas:
+                quantized = _gap_forces(plan, tensor.with_gamma, gamma)
+                for ell, f_q, f_ref in zip(plan.ell_grid, quantized, refs[gamma]):
+                    error = next((f for f in (f_q, f_ref) if isinstance(f, Exception)), None)
+                    if error is not None:
+                        failures.append(f"{film} ell={ell!r} gamma={gamma!r}: {error}")
+                        continue
                     rows[model, gamma].append((d_film, ell, gamma, f_ref.pressure, f_q.pressure,
                                                (f_ref.pressure - f_q.pressure) / f_ref.pressure))
-                except Exception as exc:  # noqa: BLE001
-                    failures.append(f"{film} ell={ell!r} gamma={gamma!r}: {exc}")
     return rows
 
 

@@ -11,6 +11,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from filmcasimir.constants import C_NM_S, HBAR_JS
@@ -23,6 +25,7 @@ from filmcasimir.lifshitz import (
     delta_P,
     force,
     force_pair,
+    forces,
     ideal_mirror_pressure,
     isotropic_slab,
     q_factors,
@@ -299,6 +302,76 @@ def test_convergence_failure_carries_partial_result(presets, monkeypatch):
     assert math.isfinite(partial.pressure) and partial.pressure < 0.0
     ref = force(slab, 2.0, tol=1e-9)
     assert partial.pressure == pytest.approx(ref.pressure, rel=5e-3)
+
+
+def test_result_records_its_final_order(presets):
+    slab = quantized_slab(presets["Cs"], "IWM", 1.0)
+    for tol in (1e-4, 1e-8, 1e-10):
+        res = force(slab, 2.0, tol=tol)
+        k = lifshitz._ORDERS.index(res.order)
+        assert k >= 1  # two successive orders agree
+        assert res.evaluations == sum(n * n for n in lifshitz._ORDERS[:k + 1])
+    assert force(reference_slab(presets["Cs"], 1.0), 10.0, tol=1e-5, engine="quadpack").order is None
+
+
+def test_forces_match_force_bit_for_bit(presets, monkeypatch):
+    # Al's omega_P/c is 0.080/nm: gaps up to 18.7 nm share the zeta scale, the rest
+    # each have their own
+    ells = [float(v) for v in np.geomspace(1.0, 100.0, 9)]
+    slabs = [quantized_slab(presets["Al"], "FWM", 1.0, 1e14), reference_slab(presets["Al"], 1.0),
+             quantized_slab(presets["Cs"], "IWM", 1.0)]
+    for slab in slabs:
+        zeta_p = slab.omega_P / C_NM_S
+        assert any(1.5 / ell >= zeta_p for ell in ells)
+        calls = [0]
+
+        def counted(tensor, xi):
+            calls[0] += 1
+            return eps_zz(tensor, xi)
+
+        monkeypatch.setattr(lifshitz, "eps_zz", counted)
+        got = forces(slab, ells, tol=1e-7)
+        monkeypatch.setattr(lifshitz, "eps_zz", eps_zz)
+        assert [repr(r) for r in got] == [repr(force(slab, ell, tol=1e-7)) for ell in ells]
+        # one eps_zz call per order for every zeta scale with a gap still open
+        assert calls[0] == sum(len({min(1.5 / ell, zeta_p) for ell, r in zip(ells, got)
+                                    if r.order >= n}) for n in lifshitz._ORDERS)
+    assert forces(slabs[0], [], tol=1e-7) == []
+    with pytest.raises(ValueError, match="gap"):
+        forces(slabs[0], [1.0, math.nan])
+
+
+def test_a_gap_that_fails_leaves_the_others_intact(presets, monkeypatch):
+    slab = quantized_slab(presets["Cs"], "IWM", 1.0)
+    ells = (1.0, 2.0, 5.0, 20.0)
+    full = [force(slab, ell, tol=1e-8) for ell in ells]
+    assert [r.order for r in full] == [32, 48, 32, 48]
+    monkeypatch.setattr(lifshitz, "_ORDERS", (24, 32))
+    got = forces(slab, ells, tol=1e-8)
+    for ell, r, want in zip(ells, got, full):
+        if want.order == 32:
+            assert repr(r) == repr(want)
+            continue
+        assert isinstance(r, ForceConvergenceError)
+        with pytest.raises(ForceConvergenceError) as exc:
+            force(slab, ell, tol=1e-8)
+        assert str(r) == str(exc.value)
+        assert repr(r.partial) == repr(exc.value.partial)
+        assert r.partial.order == 32 and r.partial.evaluations == 24**2 + 32**2
+        assert r.partial.pressure == pytest.approx(want.pressure, rel=1e-6)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(("Al", "Ag", "Cs")), model=st.sampled_from(("FWM", "IWM", "PBM")),
+       log_d=st.floats(math.log10(0.5), math.log10(20.0)), log_ell=st.floats(0.0, 2.0),
+       gamma=st.one_of(st.just(0.0), st.floats(1e13, 1e15)))
+def test_shipped_tolerance_holds_against_a_tight_recheck(presets, name, model, log_d, log_ell,
+                                                         gamma):
+    D, ell = 10.0**log_d, 10.0**log_ell
+    for slab in (quantized_slab(presets[name], model, D, gamma),
+                 reference_slab(presets[name], D, gamma)):
+        shipped, recheck = force(slab, ell, tol=1e-7), force(slab, ell, tol=1e-10)
+        assert abs(shipped.pressure - recheck.pressure) <= 1e-7 * abs(recheck.pressure)
 
 
 @pytest.mark.parametrize("kind", ["film", "reference"])

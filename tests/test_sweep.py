@@ -149,21 +149,23 @@ def test_static_rows_use_the_closed_form_for_hard_walls(presets, tmp_path, monke
 
 
 def test_force_reduction_rows_match_library(presets, tmp_path, monkeypatch):
-    real = sweep.force
+    real = sweep.forces
     calls = {"quantized": 0, "reference": 0}
 
-    def counting(slab, ell, **kw):
+    def counting(slab, ells, **kw):
         # the bulk reference is the one table with a pole at dE = 0
         calls["quantized" if slab.de.all() else "reference"] += 1
-        return real(slab, ell, **kw)
+        assert tuple(ells) == (1.0, 5.0)  # one call serves the whole gap grid
+        return real(slab, ells, **kw)
 
-    monkeypatch.setattr(sweep, "force", counting)
+    monkeypatch.setattr(sweep, "forces", counting)
     cs = presets["Cs"]
-    plans = [  # (plan, force calls of the quantized films, of the shared references)
+    plans = [  # (plan, forces calls of the quantized films, of the shared references):
+        # one per (film, gamma) and one per (D, gamma)
         (SweepPlan("delta_P", (cs,), ("FWM",), output_dir=str(tmp_path / "P"),
-                   D_grid=(1.0,), ell_grid=(1.0, 5.0), force_tol=1e-6), 2, 2),
+                   D_grid=(1.0,), ell_grid=(1.0, 5.0), force_tol=1e-6), 1, 1),
         (SweepPlan("delta_D", (cs,), ("FWM", "IWM"), output_dir=str(tmp_path / "D"),
-                   D_grid=(1.0,), ell_grid=(1.0, 5.0), gammas=(0.0, 1e14), force_tol=1e-6), 8, 4),
+                   D_grid=(1.0,), ell_grid=(1.0, 5.0), gammas=(0.0, 1e14), force_tol=1e-6), 4, 2),
     ]
     for plan, n_quantized, n_reference in plans:
         calls.update(quantized=0, reference=0)
@@ -218,8 +220,8 @@ def test_point_failures_recorded_and_sweep_continues(presets, tmp_path, monkeypa
     assert "failures=2" in text
 
     # force rows: a film that cannot be built is one note; a failed reference force
-    # is tried once and noted for each model that needed it
-    real_force = sweep.force
+    # is computed once and noted for each model that needed it
+    real_forces = sweep.forces
     failed_references = []
 
     def no_iwm(material, model, d_film):
@@ -227,14 +229,15 @@ def test_point_failures_recorded_and_sweep_continues(presets, tmp_path, monkeypa
             raise RuntimeError("no film")
         return real(material, model, d_film)
 
-    def no_far_reference(slab, ell, **kw):
-        if ell > 1.0 and not slab.de.all():  # the bulk reference at the far gap
-            failed_references.append(slab.gamma)
-            raise RuntimeError("no reference")
-        return real_force(slab, ell, **kw)
+    def no_far_reference(slab, ells, **kw):
+        out = real_forces(slab, ells, **kw)
+        if slab.de.all():
+            return out
+        failed_references.append(slab.gamma)  # the bulk reference fails at the far gap
+        return [RuntimeError("no reference") if ell > 1.0 else f for ell, f in zip(ells, out)]
 
     monkeypatch.setattr(sweep, "film_state", no_iwm)
-    monkeypatch.setattr(sweep, "force", no_far_reference)
+    monkeypatch.setattr(sweep, "forces", no_far_reference)
     plan = SweepPlan("delta_D", (presets["Cs"],), ("FWM", "IWM", "PBM"),
                      output_dir=str(tmp_path / "force"), D_grid=(1.0,), ell_grid=(1.0, 5.0),
                      gammas=(0.0, 1e14), force_tol=1e-5)
@@ -249,6 +252,19 @@ def test_point_failures_recorded_and_sweep_continues(presets, tmp_path, monkeypa
     ]
     assert [len(read_body(p)) - 1 for p in rep.files] == [1, 1, 0, 0, 1, 1]
     assert rep.manifest.read_text().count("optics=") == 2
+
+
+def test_reference_that_cannot_be_built_is_noted_for_every_row(presets, tmp_path, monkeypatch):
+    def no_reference(material, d_film, gamma):
+        raise RuntimeError("no reference")
+
+    monkeypatch.setattr(sweep, "reference_slab", no_reference)
+    plan = SweepPlan("delta_P", (presets["Cs"],), ("FWM", "IWM"), output_dir=str(tmp_path),
+                     D_grid=(1.0,), ell_grid=(1.0, 5.0), force_tol=1e-5)
+    rep = run(plan)
+    assert sorted(rep.failures) == [f"Cs {model} D=1.0 ell={ell!r} gamma=0.0: no reference"
+                                    for model in ("FWM", "IWM") for ell in (1.0, 5.0)]
+    assert [len(read_body(p)) - 1 for p in rep.files] == [0, 0]
 
 
 def test_manifest_round_trip(presets, tmp_path):
