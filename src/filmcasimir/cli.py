@@ -1,7 +1,8 @@
 """Command line front end: figure sweeps, single points, material tables.
 
 Exit codes: 0 success, 1 numerical failure (inputs echoed to stderr),
-2 usage errors such as unknown material, model or figure names.
+2 usage errors such as unknown material, model or figure names, or the
+quadpack engine asked for without scipy installed.
 """
 from __future__ import annotations
 
@@ -88,6 +89,9 @@ def _cmd_point(args) -> int:
     try:
         f_q, f_ref = force_pair(material, args.model.upper(), args.D, args.ell,
                                 gamma=args.gamma, tol=args.tol, engine=args.engine)
+    except ImportError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (ForceConvergenceError, CapacityError, TensorBuildError, ValueError) as exc:
         print(f"error: point failed for material={args.material} model={args.model} "
               f"D={args.D} ell={args.ell} gamma={args.gamma}: {exc}", file=sys.stderr)

@@ -22,10 +22,12 @@ estimate.  On the 3,240 distinct force calls of fig4-fig9 no pressure at tol
 not a bound: at 1e-7 the error against a 1e-12 reference exceeds it on 70
 calls, by up to 107 times (Ag PBM D=5 l=16.6: 1.3e-9 against 1.2e-11, both
 relative), always far below tol.  At tol 1e-10 orders 24 and 32 can agree
-falsely: 35 of the calls lie beyond tol of that reference, by up to 14
-times.  The tensor depends on frequency only, so each order evaluates
-eps_xx and eps_zz once per zeta node, with the exact pole sum; ``forces``
-shares those nodes among all gaps of one film whose s_z is omega_P/c.
+falsely (35 of the calls lay beyond tol of that reference, by up to 14
+times), so below tol 1e-8 the ladder starts at 32: 22 calls then lie beyond
+tol at 1e-10, by up to 1.6 times.  The tensor depends on frequency only, so
+each order evaluates eps_xx and eps_zz once per zeta node, with the exact
+pole sum; ``forces`` shares those nodes among all gaps of one film whose s_z
+is omega_P/c.
 "quadpack" nests adaptive quadratures over the rectangular transforms
 xi = xi0 t/(1-t), k = k0 u/(1-u).  They cross-check each other in tests, and
 both, like ``q_factors``, go through one reflection core that takes
@@ -55,6 +57,8 @@ from .materials import Material, derive_bulk
 _PREF_PA = HBAR_JS * C_NM_S * 1e27 / (2.0 * math.pi**2)
 
 _ORDERS = (24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024)
+# below this tolerance orders 24 and 32 can agree falsely, so the ladder starts at 32
+_TIGHT_TOL = 1e-8
 # the integrand is evaluated in row blocks of at most this many points, so its
 # temporaries stay small and in cache instead of n*n arrays that are mapped
 # and page-faulted afresh at every order
@@ -172,7 +176,7 @@ def forces(tensor: DielectricTensor, ells, tol: float = 1e-6
     out: list = [None] * len(ells)   # converged results
     last: list = [None] * len(ells)  # each gap's result at the last order it ran
     evaluations = 0
-    for n in _ORDERS:
+    for n in [m for m in _ORDERS if tol >= _TIGHT_TOL or m >= 32]:
         open_gaps = [j for j, res in enumerate(out) if res is None]
         if not open_gaps:
             break
@@ -205,7 +209,11 @@ def forces(tensor: DielectricTensor, ells, tol: float = 1e-6
 
 
 def _force_quadpack(tensor: DielectricTensor, ell: float, tol: float) -> ForceResult:
-    from scipy.integrate import IntegrationWarning, quad
+    try:
+        from scipy.integrate import IntegrationWarning, quad
+    except ImportError as exc:
+        raise ImportError("the quadpack engine needs scipy: "
+                          "pip install filmcasimir[quadpack]") from exc
     zeta0 = max(tensor.omega_P / C_NM_S, 1.0 / ell)
     k0 = 1.0 / ell
     inner_rel = max(tol / 10.0, 1e-13)

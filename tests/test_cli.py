@@ -1,4 +1,5 @@
 """Command line behaviour: output formats, exit codes, config plumbing."""
+import inspect
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import filmcasimir
 from filmcasimir.cli import main
 from filmcasimir.lifshitz import delta_P, force, quantized_slab, reference_slab
 from filmcasimir.materials import material_table
@@ -193,6 +195,43 @@ def test_package_imports_no_scipy():
         "filmcasimir.force_pair(mats['Cs'], 'FWM', 1.0, 10.0)\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))"))
     assert out.strip() == "[]"
+
+
+def test_material_table_loads_no_numpy():
+    out = _fresh_python("-c", (
+        "import sys, filmcasimir\n"
+        "mats = filmcasimir.material_table()\n"
+        "bulk = filmcasimir.derive_bulk(mats['Al'])\n"
+        "filmcasimir.well_depth(mats['Al'], bulk.EF_bulk)\n"
+        "print('numpy' in sys.modules, sorted(m for m in sys.modules if m.startswith('filmcasimir')))\n"
+        "filmcasimir.force_pair\n"
+        "print('numpy' in sys.modules)"))
+    assert out.splitlines() == [
+        "False ['filmcasimir', 'filmcasimir.constants', 'filmcasimir.materials']", "True"]
+
+
+def test_lazy_names_are_the_submodule_objects():
+    for name in filmcasimir.__all__[1:]:
+        value = getattr(filmcasimir, name)
+        module = f"filmcasimir.{filmcasimir._ORIGIN[name]}"
+        assert value is vars(sys.modules[module])[name]
+        if inspect.isclass(value) or inspect.isfunction(value):
+            assert value.__module__ == module  # the table names where it is defined
+    assert len(filmcasimir.__all__) == 43
+    assert set(filmcasimir.__all__) <= set(dir(filmcasimir))
+    for sub in ("sweep", "lifshitz", "cli", "constants"):
+        assert getattr(filmcasimir, sub) is sys.modules[f"filmcasimir.{sub}"]
+    with pytest.raises(AttributeError, match="no_such_name"):
+        filmcasimir.no_such_name
+
+
+def test_point_quadpack_without_scipy_exits_two(capsys, monkeypatch):
+    monkeypatch.setitem(sys.modules, "scipy.integrate", None)
+    assert main(["point", "--material", "Cs", "--model", "FWM", "--D", "1", "--ell", "10",
+                 "--engine", "quadpack"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "filmcasimir[quadpack]" in captured.err
 
 
 def test_point_quadpack_engine_in_fresh_process(presets):

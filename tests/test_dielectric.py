@@ -475,3 +475,18 @@ def test_pair_block_matches_the_row_by_row_reference(presets, name, model, D):
         want_de, want_num = pair_block_by_rows(sp, weights, d_norm)
         assert np.array_equal(de, want_de) and np.array_equal(num, want_num)
         assert de.size and num.min() > 0.0
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(("Al", "Ag", "Cs")), model=st.sampled_from(("FWM", "IWM", "PBM")),
+       log_d=st.floats(math.log10(0.5), 1.0),
+       xis=st.lists(st.one_of(st.just(0.0), st.floats(10.0, 19.0).map(lambda e: 10.0**e)),
+                    min_size=2, max_size=8),
+       gammas=st.lists(st.one_of(st.just(0.0), st.floats(1e12, 1e16)), min_size=2, max_size=4))
+def test_eps_zz_never_rises_in_frequency_or_relaxation(presets, name, model, log_d, xis, gammas):
+    t = quantized_slab(presets[name], model, 10.0**log_d)
+    xi = np.sort(np.array(xis))
+    by_gamma = np.array([eps_zz(t.with_gamma(g), xi) for g in sorted(gammas)])
+    assert np.all(by_gamma >= 1.0)
+    assert np.all(np.diff(by_gamma, axis=1) <= 0.0)  # in xi
+    assert np.all(np.diff(by_gamma, axis=0) <= 0.0)  # in gamma

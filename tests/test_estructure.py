@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import bisect
 
 from filmcasimir.constants import HBAR2_OVER_2ME as MU
@@ -325,3 +327,11 @@ def test_fermi_level_validation(presets):
         with pytest.raises(ValueError, match="ion density"):
             fermi_level(sp, n0)
 
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(("Al", "Ag", "Cs")), model=st.sampled_from(("FWM", "IWM", "PBM")),
+       log_ds=st.lists(st.floats(-1.0, 2.0), min_size=2, max_size=2))
+def test_filled_subbands_never_fall_as_the_film_thickens(presets, name, model, log_ds):
+    thin, thick = sorted(10.0**v for v in log_ds)
+    assert film_state(presets[name], model, thin).m0 <= film_state(presets[name], model, thick).m0
